@@ -18,6 +18,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +40,8 @@ from .asymptotics import (
 )
 from .inequalities import (
     bessenrodt_ono_scan,
+    factorial_log_convexity_scan,
     log_concavity_scan,
-    log_convexity_scan,
     report_to_json,
 )
 from .lfunction import lf_data_ntuple, lf_data_power
@@ -51,7 +52,6 @@ from .series import (
     brute_force_commuting,
     expand_product,
     expand_product_direct,
-    factorial_scaled,
     ntuple_exponent,
     ntuple_sequence,
     pentagonal_p,
@@ -96,7 +96,8 @@ def _parse_points(text: str) -> tuple[int, ...]:
 
 
 def _read_table(path: str) -> TableExponent:
-    """CSV file of rows n,value (header optional); n contiguous from 1."""
+    """CSV file of rows n,value (header optional); each n from 1 to N
+    exactly once."""
     rows = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -108,8 +109,11 @@ def _read_table(path: str) -> TableExponent:
                 n, v = int(n_str), int(v_str)
             except ValueError:
                 raise ValueError(f"bad table row {line!r}") from None
-            if n > 0:
-                rows[n] = v
+            if n < 1:
+                raise ValueError(f"table row {line!r}: n must be >= 1")
+            if n in rows:
+                raise ValueError(f"table row {line!r}: duplicate n = {n}")
+            rows[n] = v
     if not rows:
         raise ValueError(f"no usable rows in {path}")
     top = max(rows)
@@ -200,8 +204,8 @@ def _emit_seq(seq: BigIntSeq, fmt: str) -> str:
 
 
 def _cmd_seq(cfg: RunConfig) -> str:
-    if cfg.max_n is None or cfg.max_n < 1:
-        raise ValueError("--max-n must be >= 1")
+    if cfg.max_n is None or cfg.max_n < 0:
+        raise ValueError("--max-n must be >= 0")
     return _emit_seq(_family_sequence(cfg, cfg.max_n), cfg.fmt or "csv")
 
 
@@ -337,8 +341,8 @@ def _cmd_logconvex(cfg: RunConfig) -> str:
                          "use --family ntuple")
     if cfg.max_n is None or cfg.max_n < cfg.min_n:
         raise ValueError("--max-n must be >= --min-n")
-    seq = factorial_scaled(_family_sequence(cfg, cfg.max_n + 1))
-    report = log_convexity_scan(seq, max(cfg.min_n, 2), cfg.max_n, jobs=cfg.jobs)
+    seq = _family_sequence(cfg, cfg.max_n + 1)
+    report = factorial_log_convexity_scan(seq, max(cfg.min_n, 2), cfg.max_n)
     return _scan_output(report, cfg.fmt or "json")
 
 
@@ -406,8 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1,
-                      help="parallel scan chunks (results are identical "
-                           "for every value; default 1)")
+                      help="accepted for compatibility, must be >= 1; scans "
+                           "run serially and neither the result nor the "
+                           "work depends on it (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="commtuple",
@@ -469,20 +474,37 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write text to path through a new file in the same directory that
+    replaces path only once complete, so a failed run leaves no partial
+    file behind."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     print(f"commtuple {__version__}", file=sys.stderr)
     try:
         cfg = _config_from(args)
+        if cfg.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
         text = _DISPATCH[cfg.subcommand](cfg)
+        if cfg.out:
+            _write_out(cfg.out, text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, ArithmeticError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

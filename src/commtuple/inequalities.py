@@ -8,26 +8,27 @@ Three predicates over a positive integer sequence c:
 
 All comparisons are exact integer arithmetic; equality cases are
 reported separately from strict violations, never folded into them.
-Scans may be chunked across threads; chunks are contiguous and merged
-in order, so the report is identical for every chunking (and equal to
-the serial scan).
+A comparison of two products of long operands is first decided on the
+leading bits of each operand, which bound each product to an interval;
+only when the intervals overlap (every equality among them) are the
+full products formed.  Scans run serially: the `jobs` argument is
+checked and accepted, but neither the report nor the work depends on it.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import sub
 
 from .series import BigIntSeq
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = None
-
-# below this many bits plain int multiplication is not worth wrapping
-_MPZ_BITS = 4096
+# Leading bits kept of each operand by the screen.
+_LEAD_BITS = 64
+# Below this many bits in the left product the exact comparison is
+# cheaper than the screen (measured crossover: two 512-bit operands).
+_SCREEN_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,9 @@ def report_to_json(report: ScanReport) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _wrap(value: int):
-    if _mpz is not None and value.bit_length() > _MPZ_BITS:
-        return _mpz(value)
-    return value
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
 
 
 def _check_window(seq: BigIntSeq, lo: int, hi: int) -> None:
@@ -77,59 +77,75 @@ def _check_window(seq: BigIntSeq, lo: int, hi: int) -> None:
     if lo < seq.offset or hi > seq.last_index():
         raise ValueError(f"sequence covers [{seq.offset}, {seq.last_index()}], "
                          f"scan needs [{lo}, {hi}]")
-    for n in range(lo, hi + 1):
-        if seq[n] <= 0:
-            raise ValueError(f"non-positive value at n={n}")
+    for i, v in enumerate(seq.values[lo - seq.offset: hi - seq.offset + 1]):
+        if v <= 0:
+            raise ValueError(f"non-positive value at n={lo + i}")
 
 
-def _chunks(lo: int, hi: int, jobs: int):
-    count = max(1, min(jobs * 4, hi - lo + 1))
-    width, extra = divmod(hi - lo + 1, count)
-    start = lo
-    for i in range(count):
-        stop = start + width + (1 if i < extra else 0) - 1
-        if stop >= start:
-            yield (start, stop)
-        start = stop + 1
+def _lead(x: int):
+    """(lo, hi, s) with lo * 2^s <= x <= hi * 2^s for x > 0; lo keeps the
+    leading _LEAD_BITS bits of x, and hi == lo when the shift is exact."""
+    s = x.bit_length() - _LEAD_BITS
+    if s <= 0:
+        return x, x, 0
+    t = x >> s
+    return t, t + 1, s
 
 
-def _second_order_chunk(seq: BigIntSeq, lo: int, hi: int, convex: bool):
-    """Violations/equalities of the second-order inequality on [lo, hi];
-    values are converted once per chunk with a sliding window."""
-    viols = []
-    eqs = []
-    prev = _wrap(seq[lo - 1])
-    cur = _wrap(seq[lo])
-    for n in range(lo, hi + 1):
-        nxt = _wrap(seq[n + 1])
-        mid = cur * cur
-        side = prev * nxt
-        if mid == side:
-            eqs.append(n)
-        elif (mid > side) if convex else (mid < side):
-            viols.append(n)
-        prev, cur = cur, nxt
-    return viols, eqs
+def _screen(w1: int, x1: int, x2: int, w2: int, y1: int, y2: int) -> int:
+    """Sign of w1 x1 x2 - w2 y1 y2 for positive integers, decided on the
+    leading bits of each operand; 0 when the two products' intervals
+    overlap and only the exact products can decide."""
+    l1, h1, s1 = _lead(x1)
+    l2, h2, s2 = _lead(x2)
+    m1, k1, r1 = _lead(y1)
+    m2, k2, r2 = _lead(y2)
+    left_lo, left_hi = w1 * l1 * l2, w1 * h1 * h2
+    right_lo, right_hi = w2 * m1 * m2, w2 * k1 * k2
+    e = s1 + s2 - r1 - r2
+    if e > 0:
+        left_lo <<= e
+        left_hi <<= e
+    elif e < 0:
+        right_lo <<= -e
+        right_hi <<= -e
+    if left_hi < right_lo:
+        return -1
+    if right_hi < left_lo:
+        return 1
+    return 0
 
 
-def _second_order_scan(
-    seq: BigIntSeq, n_min: int, n_max: int, jobs: int, convex: bool
-) -> ScanReport:
+def _second_order_scan(seq: BigIntSeq, n_min: int, n_max: int, w_mid, w_side,
+                       convex: bool, label: str) -> ScanReport:
+    """Compare w_mid(n) c(n)^2 with w_side(n) c(n-1) c(n+1) for n in
+    [n_min, n_max]; w_mid and w_side iterate over the weights at n_min,
+    n_min + 1, ..."""
     if n_min > n_max:
         raise ValueError("empty scan window")
     _check_window(seq, n_min - 1, n_max + 1)
-    pieces = list(_chunks(n_min, n_max, jobs))
-    if jobs <= 1 or len(pieces) == 1:
-        results = [_second_order_chunk(seq, a, b, convex) for a, b in pieces]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_second_order_chunk, seq, a, b, convex) for a, b in pieces]
-            results = [f.result() for f in futs]
-    viols = [n for vs, _ in results for n in vs]
-    eqs = [n for _, es in results for n in es]
+    v = seq.values
+    i = n_min - seq.offset
+    k = n_max - n_min + 1
+    viols = []
+    eqs = []
+    for n, wm, ws, x, y, z in zip(range(n_min, n_max + 1), w_mid, w_side,
+                                  v[i: i + k], v[i - 1: i - 1 + k], v[i + 1: i + 1 + k]):
+        if 2 * x.bit_length() >= _SCREEN_BITS:
+            sign = _screen(wm, x, x, ws, y, z)
+            if sign:
+                if (sign > 0) == convex:
+                    viols.append(n)
+                continue
+        mid = wm * x * x
+        side = ws * y * z
+        if mid == side:
+            eqs.append(n)
+        elif (mid > side) == convex:
+            viols.append(n)
     threshold = (viols[-1] + 1) if viols else n_min
     prop = "log-convexity" if convex else "log-concavity"
-    return ScanReport(seq.label, prop, n_min, n_max, tuple(viols), tuple(eqs), threshold)
+    return ScanReport(label, prop, n_min, n_max, tuple(viols), tuple(eqs), threshold)
 
 
 def log_concavity_scan(
@@ -137,9 +153,11 @@ def log_concavity_scan(
 ) -> ScanReport:
     """Scan c(n)^2 >= c(n-1) c(n+1) for n in [n_min, n_max]; requires
     positive values on [n_min-1, n_max+1]."""
+    _check_jobs(jobs)
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
-    return _second_order_scan(seq, n_min, n_max, jobs, convex=False)
+    return _second_order_scan(seq, n_min, n_max, repeat(1), repeat(1),
+                              False, seq.label)
 
 
 def log_convexity_scan(
@@ -147,24 +165,22 @@ def log_convexity_scan(
 ) -> ScanReport:
     """Scan c(n)^2 <= c(n-1) c(n+1) for n in [n_min, n_max] (intended for
     factorial-scaled counts n! N(n)); requires n_min > 1."""
+    _check_jobs(jobs)
     if n_min <= 1:
         raise ValueError("n_min must be > 1")
-    return _second_order_scan(seq, n_min, n_max, jobs, convex=True)
+    return _second_order_scan(seq, n_min, n_max, repeat(1), repeat(1),
+                              True, seq.label)
 
 
-def _pair_chunk(seq: BigIntSeq, a_lo: int, a_hi: int, max_sum: int):
-    viols = []
-    eqs = []
-    for a in range(a_lo, a_hi + 1):
-        ca = seq[a]
-        for b in range(a, max_sum - a + 1):
-            prod = ca * seq[b]
-            total = seq[a + b]
-            if prod < total:
-                viols.append((a, b))
-            elif prod == total:
-                eqs.append((a, b))
-    return viols, eqs
+def factorial_log_convexity_scan(seq: BigIntSeq, n_min: int, n_max: int) -> ScanReport:
+    """The report of log_convexity_scan(factorial_scaled(seq), n_min, n_max),
+    without forming n! c(n): dividing both sides by (n-1)! n! turns
+    (n! c(n))^2 <= (n-1)! c(n-1) (n+1)! c(n+1) into
+    n c(n)^2 <= (n+1) c(n-1) c(n+1), equalities included."""
+    if n_min <= 1:
+        raise ValueError("n_min must be > 1")
+    return _second_order_scan(seq, n_min, n_max, range(n_min, n_max + 1),
+                              range(n_min + 1, n_max + 2), True, seq.label + "-scaled")
 
 
 def bessenrodt_ono_scan(seq: BigIntSeq, max_sum: int, jobs: int = 1) -> ScanReport:
@@ -173,18 +189,38 @@ def bessenrodt_ono_scan(seq: BigIntSeq, max_sum: int, jobs: int = 1) -> ScanRepo
     minimal_threshold is over pair sums: the smallest s0 such that no
     violating pair has a+b >= s0 within the window.
     """
+    _check_jobs(jobs)
     if max_sum < 2:
         raise ValueError("max_sum must be >= 2")
     _check_window(seq, 1, max_sum)
-    pieces = list(_chunks(1, max_sum // 2, jobs))
-    if jobs <= 1 or len(pieces) == 1:
-        results = [_pair_chunk(seq, a, b, max_sum) for a, b in pieces]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_pair_chunk, seq, a, b, max_sum) for a, b in pieces]
-            results = [f.result() for f in futs]
-    viols = [p for vs, _ in results for p in vs]
-    eqs = [p for _, es in results for p in es]
+    # c[k] = c(k) for 1 <= k <= max_sum (the offset is 0 or 1)
+    c = (0,) * seq.offset + seq.values[: max_sum + 1 - seq.offset]
+    bits = [x.bit_length() for x in c]
+    viols = []
+    eqs = []
+    for a in range(1, max_sum // 2 + 1):
+        ca = c[a]
+        # c(a) c(b) >= 2^(L(a) + L(b) - 2) and c(a+b) < 2^L(a+b) for bit
+        # lengths L, so the pair holds strictly unless
+        # L(a+b) - L(b) > L(a) - 2; only those pairs are compared.
+        room = bits[a] - 2
+        open_b = compress(range(a, max_sum - a + 1),
+                          map(room.__lt__, map(sub, bits[2 * a: max_sum + 1],
+                                               bits[a: max_sum - a + 1])))
+        for b in open_b:
+            cb = c[b]
+            cab = c[a + b]
+            if bits[a] + bits[b] >= _SCREEN_BITS:
+                sign = _screen(1, ca, cb, 1, cab, 1)
+                if sign:
+                    if sign < 0:
+                        viols.append((a, b))
+                    continue
+            prod = ca * cb
+            if prod < cab:
+                viols.append((a, b))
+            elif prod == cab:
+                eqs.append((a, b))
     threshold = (max(a + b for a, b in viols) + 1) if viols else 2
     return ScanReport(
         seq.label, "bessenrodt-ono", 1, max_sum, tuple(viols), tuple(eqs), threshold

@@ -6,7 +6,8 @@ import json
 import mpmath
 import pytest
 
-from commtuple.cli import main
+from commtuple import factorial_scaled, log_convexity_scan, ntuple_sequence
+from commtuple.cli import _scan_output, main
 
 
 def run(capsys, *argv):
@@ -182,3 +183,78 @@ def test_bo_equalities(capsys):
     deep = [tuple(p) for p in obj["equalities"] if p[0] > 1 and sum(p) > 8]
     assert deep == [(2, 7)]
     assert all(a == 1 or a + b <= 8 for a, b in obj["violations"])
+
+
+def test_jobs_below_one_rejected(capsys):
+    for cmd in (["logconcave", "--max-n", "30"], ["bo", "--max-sum", "30"],
+                ["logconvex", "--max-n", "30"]):
+        for jobs in ("0", "-3"):
+            rc, out, err = run(capsys, *cmd, "--family", "ntuple", "--ell", "2",
+                               "--jobs", jobs)
+            assert rc == 1
+            assert out == ""
+            assert err.splitlines()[-1] == "error: --jobs must be >= 1"
+
+
+def test_out_failures(tmp_path, capsys):
+    missing = tmp_path / "nodir" / "x.csv"
+    rc, out, err = run(capsys, "seq", "--ell", "2", "--max-n", "5",
+                       "--out", str(missing))
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 2
+    assert err.splitlines()[-1].startswith("error: ")
+    assert not missing.parent.exists()
+    # a directory cannot be replaced by the output file: no partial or
+    # temporary file is left beside it
+    target = tmp_path / "taken"
+    target.mkdir()
+    rc, _, err = run(capsys, "seq", "--ell", "2", "--max-n", "5",
+                     "--out", str(target))
+    assert rc == 1
+    assert err.splitlines()[-1].startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    # a failed command leaves an existing output file as it was
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n", encoding="utf-8")
+    rc, _, _ = run(capsys, "seq", "--max-n", "5", "--out", str(kept))
+    assert rc == 1
+    assert kept.read_text(encoding="utf-8") == "old\n"
+    rc, _, _ = run(capsys, "seq", "--ell", "2", "--max-n", "2", "--out", str(kept))
+    assert rc == 0
+    assert kept.read_text(encoding="utf-8") == "n,value\n0,1\n1,1\n2,2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "taken"]
+
+
+@pytest.mark.parametrize("rows", [
+    "1,1\n1,5\n2,0\n3,0\n",
+    "n,value\n0,1\n1,1\n2,1\n",
+    "1,1\n-2,1\n2,1\n",
+])
+def test_table_file_bad_rows(tmp_path, capsys, rows):
+    path = tmp_path / "weights.csv"
+    path.write_text(rows, encoding="utf-8")
+    rc, out, err = run(capsys, "seq", "--family", "table-file", "--table",
+                       str(path), "--max-n", "3")
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: table row ")
+
+
+def test_seq_max_n_zero(capsys):
+    for family in (["--ell", "3"], ["--family", "power", "--d", "1"]):
+        rc, out, _ = run(capsys, "seq", *family, "--max-n", "0")
+        assert (rc, out) == (0, "n,value\n0,1\n")
+    rc, _, err = run(capsys, "seq", "--ell", "3", "--max-n", "-1")
+    assert rc == 1
+    assert err.splitlines()[-1] == "error: --max-n must be >= 0"
+
+
+@pytest.mark.parametrize("ell,max_n", [(2, 300), (3, 120)])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_logconvex_matches_scaled_scan(capsys, ell, max_n, fmt):
+    rc, out, _ = run(capsys, "logconvex", "--ell", str(ell), "--max-n", str(max_n),
+                     "--format", fmt)
+    assert rc == 0
+    scaled = factorial_scaled(ntuple_sequence(ell, max_n + 1))
+    assert out == _scan_output(log_convexity_scan(scaled, 2, max_n), fmt)

@@ -4,17 +4,21 @@ and the multiplicative pair inequality."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commtuple import (
     BigIntSeq,
     ScanReport,
     bessenrodt_ono_scan,
+    factorial_log_convexity_scan,
     factorial_scaled,
     log_concavity_scan,
     log_convexity_scan,
     ntuple_sequence,
     report_to_json,
 )
+from commtuple.inequalities import _screen
 
 
 def test_log_concavity_single_violation():
@@ -130,3 +134,137 @@ def test_scan_guards(p_10k):
         log_concavity_scan(bad, 1, 4)
     with pytest.raises(ValueError):
         ScanReport("x", "log-concavity", 1, 9, (5, 3), (), 6)
+
+
+def test_jobs_below_one_rejected():
+    seq = ntuple_sequence(2, 20)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            log_concavity_scan(seq, 2, 10, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            log_convexity_scan(factorial_scaled(seq), 2, 10, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            bessenrodt_ono_scan(seq, 10, jobs=jobs)
+
+
+def test_factorial_log_convexity_matches_scaled_scan():
+    for ell, top in ((2, 400), (3, 200)):
+        seq = ntuple_sequence(ell, top + 1)
+        want = log_convexity_scan(factorial_scaled(seq), 2, top)
+        assert factorial_log_convexity_scan(seq, 2, top) == want
+    with pytest.raises(ValueError):
+        factorial_log_convexity_scan(seq, 1, 10)
+
+
+# --- generated sequences against a naive exact reference ---
+
+
+def naive_second_order(seq, lo, hi, w_mid, w_side, convex, label):
+    viols, eqs = [], []
+    for n in range(lo, hi + 1):
+        mid = w_mid(n) * seq[n] * seq[n]
+        side = w_side(n) * seq[n - 1] * seq[n + 1]
+        if mid == side:
+            eqs.append(n)
+        elif (mid > side) if convex else (mid < side):
+            viols.append(n)
+    prop = "log-convexity" if convex else "log-concavity"
+    threshold = viols[-1] + 1 if viols else lo
+    return ScanReport(label, prop, lo, hi, tuple(viols), tuple(eqs), threshold)
+
+
+def naive_pairs(seq, max_sum):
+    viols, eqs = [], []
+    for a in range(1, max_sum // 2 + 1):
+        for b in range(a, max_sum - a + 1):
+            prod, total = seq[a] * seq[b], seq[a + b]
+            if prod < total:
+                viols.append((a, b))
+            elif prod == total:
+                eqs.append((a, b))
+    threshold = max(a + b for a, b in viols) + 1 if viols else 2
+    return ScanReport(seq.label, "bessenrodt-ono", 1, max_sum, tuple(viols),
+                      tuple(eqs), threshold)
+
+
+def check_all_scans(seq, jobs):
+    lo, hi = seq.offset, seq.last_index()
+    n_min, n_max = max(lo + 1, 2), hi - 1
+    if n_min <= n_max:
+        one = lambda n: 1
+        assert log_concavity_scan(seq, n_min, n_max, jobs=jobs) == naive_second_order(
+            seq, n_min, n_max, one, one, False, seq.label)
+        assert log_convexity_scan(seq, n_min, n_max, jobs=jobs) == naive_second_order(
+            seq, n_min, n_max, one, one, True, seq.label)
+        assert factorial_log_convexity_scan(seq, n_min, n_max) == naive_second_order(
+            seq, n_min, n_max, lambda n: n, lambda n: n + 1, True, seq.label + "-scaled")
+    if lo <= 1 and hi >= 2:
+        assert bessenrodt_ono_scan(seq, hi, jobs=jobs) == naive_pairs(seq, hi)
+
+
+JOBS = st.sampled_from((1, 2, 3, 5))
+OFFSET = st.integers(0, 2)
+
+
+@st.composite
+def wide_sequences(draw):
+    """Positive values of 1 to 10^4 bits, in any order."""
+    values = draw(st.lists(
+        st.integers(1, 10**4).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
+        min_size=3, max_size=16))
+    return BigIntSeq(values, draw(OFFSET), "wide")
+
+
+@st.composite
+def near_geometric(draw, noise=True):
+    """c(n) = a r^n + d(n) with |d(n)| far below the leading 64 bits, so
+    both c(n)^2 vs c(n-1) c(n+1) and (for a = 1) c(a) c(b) vs c(a+b)
+    agree in their leading bits and differ, if at all, in low bits."""
+    r = draw(st.integers(2, 700).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+    a = draw(st.one_of(st.just(1), st.integers(1, 1 << 200)))
+    size = draw(st.integers(3, 14))
+    offset = draw(OFFSET)
+    values = [a * r ** (offset + i) for i in range(size)]
+    if noise:
+        width = max(0, min(v.bit_length() for v in values) - 100)
+        values = [v + draw(st.integers(-(1 << width) + 1, (1 << width) - 1))
+                  for v in values]
+    return BigIntSeq(values, offset, "near-geometric")
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_sequences(), JOBS)
+def test_scans_match_naive_on_wide_values(seq, jobs):
+    check_all_scans(seq, jobs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_geometric(), JOBS)
+def test_scans_match_naive_on_near_ties(seq, jobs):
+    check_all_scans(seq, jobs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_geometric(noise=False), JOBS)
+def test_geometric_sequences_tie_everywhere(seq, jobs):
+    check_all_scans(seq, jobs)
+    lo, hi = seq.offset, seq.last_index()
+    n_min = max(lo + 1, 2)
+    if n_min < hi:
+        rep = log_concavity_scan(seq, n_min, hi - 1, jobs=jobs)
+        assert rep.violations == ()
+        assert rep.equalities == tuple(range(n_min, hi))
+    if lo <= 1 and seq[1] * seq[1] == seq[2]:  # a = 1: c(n) = r^n
+        pairs = bessenrodt_ono_scan(seq, hi, jobs=jobs)
+        assert pairs.violations == ()
+        assert len(pairs.equalities) == sum(hi - 2 * a + 1 for a in range(1, hi // 2 + 1))
+
+
+def test_near_ties_reach_the_exact_comparison():
+    # leading bits agree, so the screen must leave these to the products
+    r = (1 << 900) + 12345
+    x, y, z = r ** 2 + 3, r + 1, r ** 3 - 5
+    assert _screen(1, x, x, 1, y, z) == 0
+    assert _screen(1, r, r, 1, r * r + 1, 1) == 0
+    assert _screen(1, r, r, 1, r * r >> 1, 1) == 1
+    assert _screen(2, r, r, 1, r * r * 3, 1) == -1
