@@ -164,7 +164,9 @@ def log_convexity_scan(
     seq: BigIntSeq, n_min: int, n_max: int, jobs: int = 1
 ) -> ScanReport:
     """Scan c(n)^2 <= c(n-1) c(n+1) for n in [n_min, n_max] (intended for
-    factorial-scaled counts n! N(n)); requires n_min > 1."""
+    factorial-scaled counts n! N(n), whose report
+    factorial_log_convexity_scan gives without forming them); requires
+    n_min > 1."""
     _check_jobs(jobs)
     if n_min <= 1:
         raise ValueError("n_min must be > 1")
