@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +40,8 @@ from .asymptotics import (
     expansion_two_pole,
 )
 from .inequalities import (
+    _factorial_log_convexity_scan,
     bessenrodt_ono_scan,
-    factorial_log_convexity_scan,
     log_concavity_scan,
     report_to_json,
 )
@@ -342,7 +343,7 @@ def _cmd_logconvex(cfg: RunConfig) -> str:
     if cfg.max_n is None or cfg.max_n < cfg.min_n:
         raise ValueError("--max-n must be >= --min-n")
     seq = _family_sequence(cfg, cfg.max_n + 1)
-    report = factorial_log_convexity_scan(seq, max(cfg.min_n, 2), cfg.max_n)
+    report = _factorial_log_convexity_scan(seq, max(cfg.min_n, 2), cfg.max_n)
     return _scan_output(report, cfg.fmt or "json")
 
 
@@ -475,16 +476,44 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_out(path: str, text: str) -> None:
-    """Write text to path through a new file in the same directory that
-    replaces path only once complete, so a failed run leaves no partial
-    file behind."""
-    head, tail = os.path.split(path)
+    """Write text to path, following symlinks.
+
+    A new path, or a regular file with one link, is replaced by a complete
+    file written beside it, so a failed write leaves no partial file.
+    Anything else (a device, a pipe, a hard-linked file), and a file whose
+    directory or owner rules out a replacement, is written in place.
+    """
+    target = os.path.realpath(path)
+    try:
+        old = os.stat(target)
+    except FileNotFoundError:
+        _replace_file(target, text, None)
+        return
+    if stat.S_ISREG(old.st_mode) and old.st_nlink == 1:
+        try:
+            _replace_file(target, text, old)
+            return
+        except PermissionError:
+            pass
+    with open(target, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _replace_file(target: str, text: str, old) -> None:
+    """Replace target by a new file in its directory holding text, with the
+    mode and owner of old (the os.stat of the file it replaces, or None)."""
+    head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            new = os.stat(tmp)
+            if (new.st_uid, new.st_gid) != (old.st_uid, old.st_gid):
+                os.chown(tmp, old.st_uid, old.st_gid)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -26,8 +26,10 @@ from .series import BigIntSeq
 
 # Leading bits kept of each operand by the screen.
 _LEAD_BITS = 64
-# Below this many bits in the left product the exact comparison is
-# cheaper than the screen (measured crossover: two 512-bit operands).
+# Below this many bits in the left product the exact comparison costs
+# about as much as the screen or less (measured per comparison: the two
+# cost the same at operands of 512-768 bits; at 35 000 bits the screen
+# is about 400 times cheaper).
 _SCREEN_BITS = 1024
 
 
@@ -165,7 +167,7 @@ def log_convexity_scan(
 ) -> ScanReport:
     """Scan c(n)^2 <= c(n-1) c(n+1) for n in [n_min, n_max] (intended for
     factorial-scaled counts n! N(n), whose report
-    factorial_log_convexity_scan gives without forming them); requires
+    _factorial_log_convexity_scan gives without forming them); requires
     n_min > 1."""
     _check_jobs(jobs)
     if n_min <= 1:
@@ -174,7 +176,7 @@ def log_convexity_scan(
                               True, seq.label)
 
 
-def factorial_log_convexity_scan(seq: BigIntSeq, n_min: int, n_max: int) -> ScanReport:
+def _factorial_log_convexity_scan(seq: BigIntSeq, n_min: int, n_max: int) -> ScanReport:
     """The report of log_convexity_scan(factorial_scaled(seq), n_min, n_max),
     without forming n! c(n): dividing both sides by (n-1)! n! turns
     (n! c(n))^2 <= (n-1)! c(n-1) (n+1)! c(n+1) into

@@ -2,6 +2,9 @@
 in-process so output capture stays exact."""
 
 import json
+import os
+import stat
+import threading
 
 import mpmath
 import pytest
@@ -224,6 +227,46 @@ def test_out_failures(tmp_path, capsys):
     assert rc == 0
     assert kept.read_text(encoding="utf-8") == "n,value\n0,1\n1,1\n2,2\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "taken"]
+
+
+def test_out_targets_kept(tmp_path, capsys):
+    want = "n,value\n0,1\n1,1\n2,2\n"
+    args = ("seq", "--ell", "2", "--max-n", "2", "--out")
+    # a symlink is written through, to an existing or a new target; an
+    # existing file keeps its mode
+    real = tmp_path / "real.csv"
+    real.write_text("old\n", encoding="utf-8")
+    real.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to(tmp_path / "new.csv")
+    for path in (link, dangling):
+        rc, out, _ = run(capsys, *args, str(path))
+        assert (rc, out) == (0, "")
+        assert path.is_symlink()
+        assert path.read_text(encoding="utf-8") == want
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    # a hard-linked file is written in place, so every name sees the text
+    twin = tmp_path / "twin.csv"
+    os.link(real, twin)
+    rc, _, _ = run(capsys, "seq", "--ell", "2", "--max-n", "3", "--out", str(twin))
+    assert rc == 0
+    assert real.read_text(encoding="utf-8") == want + "3,3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling.csv", "link.csv", "new.csv", "real.csv", "twin.csv"]
+    # a pipe is written into, not replaced by a regular file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(
+        target=lambda: got.append(pipe.read_text(encoding="utf-8")), daemon=True)
+    reader.start()
+    rc, _, _ = run(capsys, *args, str(pipe))
+    reader.join(timeout=30)
+    assert rc == 0
+    assert got == [want]
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
 
 
 @pytest.mark.parametrize("rows", [

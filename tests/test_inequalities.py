@@ -11,14 +11,13 @@ from commtuple import (
     BigIntSeq,
     ScanReport,
     bessenrodt_ono_scan,
-    factorial_log_convexity_scan,
     factorial_scaled,
     log_concavity_scan,
     log_convexity_scan,
     ntuple_sequence,
     report_to_json,
 )
-from commtuple.inequalities import _screen
+from commtuple.inequalities import _factorial_log_convexity_scan, _screen
 
 
 def test_log_concavity_single_violation():
@@ -151,9 +150,9 @@ def test_factorial_log_convexity_matches_scaled_scan():
     for ell, top in ((2, 400), (3, 200)):
         seq = ntuple_sequence(ell, top + 1)
         want = log_convexity_scan(factorial_scaled(seq), 2, top)
-        assert factorial_log_convexity_scan(seq, 2, top) == want
+        assert _factorial_log_convexity_scan(seq, 2, top) == want
     with pytest.raises(ValueError):
-        factorial_log_convexity_scan(seq, 1, 10)
+        _factorial_log_convexity_scan(seq, 1, 10)
 
 
 # --- generated sequences against a naive exact reference ---
@@ -196,7 +195,7 @@ def check_all_scans(seq, jobs):
             seq, n_min, n_max, one, one, False, seq.label)
         assert log_convexity_scan(seq, n_min, n_max, jobs=jobs) == naive_second_order(
             seq, n_min, n_max, one, one, True, seq.label)
-        assert factorial_log_convexity_scan(seq, n_min, n_max) == naive_second_order(
+        assert _factorial_log_convexity_scan(seq, n_min, n_max) == naive_second_order(
             seq, n_min, n_max, lambda n: n, lambda n: n + 1, True, seq.label + "-scaled")
     if lo <= 1 and hi >= 2:
         assert bessenrodt_ono_scan(seq, hi, jobs=jobs) == naive_pairs(seq, hi)
