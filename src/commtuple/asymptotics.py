@@ -209,13 +209,21 @@ def power_coefficient(d, exponent: int, index: int, ctx: PrecisionContext):
 
 
 def expansion_three_pole(
-    ell: int, data: LSeriesData, ctx: PrecisionContext
+    ell: int,
+    data: LSeriesData,
+    ctx: PrecisionContext,
+    saddle: SaddleExpansion | None = None,
 ) -> AsymptoticExpansion:
+    """A_1..A_ell from the saddle series K_1..K_{ell+1}; saddle, if given,
+    is rho_series_three_pole(ell, terms >= ell + 1, data, ctx)."""
     if ell < 4:
         raise ValueError("three-pole route requires ell >= 4")
     if len(data.poles) != 3 or data.c1 is None:
         raise ValueError("three-pole data required")
-    saddle = rho_series_three_pole(ell, ell + 1, data, ctx)
+    if saddle is None:
+        saddle = rho_series_three_pole(ell, ell + 1, data, ctx)
+    elif saddle.ell != ell or len(saddle.K) < ell + 1:
+        raise ValueError("saddle series needs ell + 1 terms of the same ell")
     K = saddle.K
     d = d_coefficients(saddle, ell - 1, ctx)
     cs = (data.c1, data.c2, data.c3)

@@ -163,14 +163,14 @@ def _l_data(cfg: RunConfig, ctx: PrecisionContext):
     raise ValueError(f"no L-series data for family {cfg.family!r}")
 
 
-def _expansion(cfg: RunConfig, data, ctx: PrecisionContext):
+def _expansion(cfg: RunConfig, data, ctx: PrecisionContext, saddle=None):
     npoles = len(data.poles)
     if npoles == 1:
         exp = expansion_one_pole(data, ctx)
     elif npoles == 2:
         exp = expansion_two_pole(data, ctx)
     else:
-        exp = expansion_three_pole(cfg.ell, data, ctx)
+        exp = expansion_three_pole(cfg.ell, data, ctx, saddle)
     if cfg.terms is not None:
         if not 1 <= cfg.terms <= len(exp.terms):
             raise ValueError(f"--terms must be in 1..{len(exp.terms)} here")
@@ -178,7 +178,9 @@ def _expansion(cfg: RunConfig, data, ctx: PrecisionContext):
     return exp
 
 
-def _saddle_K(cfg: RunConfig, data, ctx: PrecisionContext):
+def _saddle_K(cfg: RunConfig, data, ctx: PrecisionContext, saddle):
+    """K_1.. of the saddle point; a three-pole family reads them from
+    saddle, the series its expansion was built from."""
     npoles = len(data.poles)
     if npoles == 1:
         c1 = dressed_residue(data.poles[0], ctx)
@@ -188,8 +190,7 @@ def _saddle_K(cfg: RunConfig, data, ctx: PrecisionContext):
         c2 = dressed_residue(data.poles[1], ctx)
         terms = min(cfg.terms or 3, 5)
         return two_pole_K(data.poles[0][0], data.poles[1][0], c1, c2, terms, ctx)
-    terms = cfg.terms or cfg.ell
-    return list(rho_series_three_pole(cfg.ell, terms, data, ctx).K)
+    return list(saddle.K[: cfg.terms or cfg.ell])
 
 
 def _fmt_frac(q: Fraction) -> str:
@@ -223,8 +224,12 @@ def _cmd_gl(cfg: RunConfig) -> str:
 def _cmd_constants(cfg: RunConfig) -> str:
     ctx = PrecisionContext(cfg.digits)
     data = _l_data(cfg, ctx)
-    exp = _expansion(cfg, data, ctx)
-    ks = _saddle_K(cfg, data, ctx)
+    saddle = None
+    if len(data.poles) == 3:
+        # the K_1..K_{ell+1} that expansion_three_pole needs; --terms <= ell
+        saddle = rho_series_three_pole(cfg.ell, cfg.ell + 1, data, ctx)
+    exp = _expansion(cfg, data, ctx, saddle)
+    ks = _saddle_K(cfg, data, ctx, saddle)
     fmt = cfg.fmt or "text"
     if fmt == "json":
         import json
@@ -465,9 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     fields = {}
     for name in RunConfig.__dataclass_fields__:
-        src = "max_n" if name == "max_n" else name
-        if hasattr(args, src):
-            val = getattr(args, src)
+        if hasattr(args, name):
+            val = getattr(args, name)
             if val is not None or name in ("fmt", "out"):
                 fields[name] = val
     if "points" in fields and isinstance(fields["points"], str):

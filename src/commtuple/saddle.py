@@ -1,17 +1,19 @@
 """Truncated-series saddle-point machinery.
 
 The saddle equation of a product family is rewritten as a polynomial
-curve  sum_i gamma_i x^{p_i} z^{q_i} = 1  in scaled variables (x a
-fixed negative power of n, z the scaled reciprocal saddle point).
-Shifting z to the leading root turns the curve into phi_x(w) = -a_0(x)
-with phi_x a polynomial with coefficients polynomial in x; compositional
-(Lagrange) inversion of phi_x and a final series reciprocal produce the
-correction coefficients K_1, K_2, ... of the saddle point
+curve  F(x, z) = sum_i gamma_i x^{p_i} z^{q_i} - 1 = 0  in scaled
+variables (x a fixed negative power of n, z the scaled reciprocal saddle
+point).  Newton's iteration z <- z - F(x, z)/F_z(x, z) on power series
+in x, started at the leading root z_0 = gamma_1^{-1/q}, doubles the
+number of correct coefficients per step; a final series reciprocal gives
+the correction coefficients K_1, K_2, ... of the saddle point
 
     rho_n = K_1 n^{-1/q} + K_2 n^{-1/q - s} + K_3 n^{-1/q - 2s} + ...
 
 All coefficient arithmetic is dense polynomial-in-x truncated at a
-single internal order (J + 2 for J requested terms).
+single internal order (J + 2 for J requested terms).  lagrange_invert
+(compositional inversion of a shifted curve) is kept as an independent
+oracle for this route.
 
 rho_numeric solves the untruncated saddle equation by summation with
 certified tail bounds and serves as the oracle for the series route.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .arith import (
     ExponentSpec,
@@ -319,8 +321,9 @@ def curve_saddle_series(monomials, terms: int, ctx: PrecisionContext):
     """K-coefficients for the curve sum_i gamma_i x^{p_i} z^{q_i} = 1.
 
     Exactly one monomial must have p_i = 0; it carries the largest
-    z-power and a positive coefficient.  Internal truncation runs at
-    terms + 2 in x throughout.
+    z-power and a positive coefficient.  z(x) is found by Newton's
+    iteration in truncated-series arithmetic at order terms + 2 in x;
+    the K_j are the coefficients of 1/z(x).
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -336,25 +339,22 @@ def curve_saddle_series(monomials, terms: int, ctx: PrecisionContext):
         raise ValueError("leading coefficient must be positive")
     if any(q > qmax or q < 1 or p < 0 for _, p, q in monomials):
         raise ValueError("monomial powers out of range")
-    z0 = ctx.power_frac(gamma1, Fraction(-1, qmax))
-    # a_k(x) = [w^k] (curve at z = w + z0); a_0 has no constant term
-    a = []
-    for k in range(qmax + 1):
-        coeffs = [mp.mpf(0)] * (trunc + 1)
+    zero = mp.mpf(0)
+    z = TruncPoly(mp, [ctx.power_frac(gamma1, Fraction(-1, qmax))], trunc)
+    # each Newton step doubles the number of correct x-coefficients,
+    # starting from one; the last step polishes the rounding
+    for _ in range(trunc.bit_length() + 1):
+        powers = [TruncPoly.one(mp, trunc)]
+        for _ in range(qmax):
+            powers.append(powers[-1] * z)
+        f = TruncPoly.zeros(mp, trunc) - 1
+        f_z = TruncPoly.zeros(mp, trunc)
         for gam, p, q in monomials:
-            if k <= q and p <= trunc:
-                coeffs[p] += gam * comb(q, k) * z0 ** (q - k)
-        if k == 0:
-            coeffs[0] -= 1
-        a.append(TruncPoly(mp, coeffs, trunc))
-    b = lagrange_invert(a[1:], trunc)
-    minus_a0 = -a[0]
-    w = TruncPoly.zeros(mp, trunc)
-    pw = TruncPoly.one(mp, trunc)
-    for k in range(1, trunc + 1):
-        pw = pw * minus_a0
-        w = w + b[k - 1] * pw
-    recip = (w + z0).inverse()
+            shift = [zero] * p  # times x^p
+            f = f + TruncPoly(mp, shift + powers[q].coeffs, trunc) * gam
+            f_z = f_z + TruncPoly(mp, shift + powers[q - 1].coeffs, trunc) * (gam * q)
+        z = z - f * f_z.inverse()
+    recip = z.inverse()
     return [recip.coeff(j) for j in range(terms)]
 
 
@@ -426,17 +426,14 @@ def two_pole_K_series(alpha: int, beta: int, c1, c2, terms: int, ctx: PrecisionC
 
 # --- numeric saddle point and Phi evaluation (oracle route) ---
 
-_TABLE_CACHE: dict = {}
 
-
-def _weight_table(spec: ExponentSpec, upto: int) -> list[int]:
-    cached = _TABLE_CACHE.get(spec)
-    if cached is None or len(cached) <= upto:
-        new_len = max(64, upto + 1, 2 * (len(cached) if cached else 0))
-        if isinstance(spec, TableExponent):
-            new_len = min(new_len, len(spec.values))
-        _TABLE_CACHE[spec] = evaluate_exponent(spec, new_len)
-    return _TABLE_CACHE[spec]
+def _grow_weights(spec: ExponentSpec, table: list, upto: int) -> None:
+    """Refill table with (0, f(1), ..., f(N)), N > upto (capped at the
+    length of a finite table), at least doubling its length."""
+    new_len = max(64, upto + 1, 2 * len(table))
+    if isinstance(spec, TableExponent):
+        new_len = min(new_len, len(spec.values))
+    table[:] = evaluate_exponent(spec, new_len)
 
 
 def _majorant(spec: ExponentSpec):
@@ -454,21 +451,33 @@ def _majorant(spec: ExponentSpec):
     raise TypeError(f"unknown exponent spec {spec!r}")
 
 
-def _exp_weight_sum(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str):
+def _exp_weight_sum(
+    spec: ExponentSpec, z, ctx: PrecisionContext, mode: str, table: list | None = None
+):
     """Certified evaluation of the exponential-weight sums
 
-        mode "phi":   sum_m f(m) * (-log(1 - u^m))        (this is Phi)
-        mode "dphi":  sum_m m f(m) u^m / (1 - u^m)        (this is -Phi')
-        mode "d2phi": sum_m m^2 f(m) u^m / (1 - u^m)^2    (this is Phi'')
+        mode "phi":    sum_m f(m) * (-log(1 - u^m))        (this is Phi)
+        mode "dphi":   sum_m m f(m) u^m / (1 - u^m)        (this is -Phi')
+        mode "newton": the pair (-Phi', Phi''), with
+                       Phi'' = sum_m m^2 f(m) u^m / (1 - u^m)^2,
 
     with u = e^{-z}.  The tail past M is bounded through the polynomial
     majorant A m^D: term ratios are <= exp(w/M) u with w the effective
-    power, giving a geometric envelope once exp(w/M) u < 1.
+    power, giving a geometric envelope once exp(w/M) u < 1.  Mode
+    "newton" stops only once both tails are below the target.
+
+    table holds the weights (0, f(1), ...) and is extended in place as
+    the sum runs; passing the same list to several calls for one spec
+    reuses it.
     """
+    if mode not in ("phi", "dphi", "newton"):
+        raise ValueError(f"unknown mode {mode!r}")
     mp = ctx.mp
     z = ctx.real(z)
     if not z > 0:
         raise ValueError("z must be positive")
+    if table is None:
+        table = []
     u = mp.exp(-z)
     target = ctx.eps_target()
     maj = _majorant(spec)
@@ -476,38 +485,47 @@ def _exp_weight_sum(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str):
         w_pow = 0
         finite_len = len(spec.values)
     else:
-        w_pow = maj[1] + (1 if mode == "dphi" else 2 if mode == "d2phi" else 0)
+        w_pow = maj[1] + (0 if mode == "phi" else 1)
+    # (w, k) per sum: terms <= A m^w u^m (1 - u)^{-k}; the second sum of
+    # mode "newton", checked first as the slower to converge, has one
+    # more power of m and of 1/(1 - u)
+    tail_pows = ((w_pow + 1, 2), (w_pow, 1)) if mode == "newton" else ((w_pow, 1),)
     inv_gap = 1 / (1 - u)
     total = mp.mpf(0)
+    total2 = mp.mpf(0)
     um = mp.mpf(1)
     m = 0
-    check_from = max(16, int(2 * w_pow / float(z)) + 1)
+    check_from = max(16, int(2 * tail_pows[0][0] / float(z)) + 1)
     while True:
         m += 1
         if maj is None and m > finite_len:
             break
-        table = _weight_table(spec, m)
+        if m >= len(table):
+            _grow_weights(spec, table, m)
         um = um * u
         fm = table[m]
         if fm:
             if mode == "phi":
                 total -= fm * mp.log(1 - um)
-            elif mode == "dphi":
-                total += m * fm * um / (1 - um)
-            elif mode == "d2phi":
-                total += m * m * fm * um / (1 - um) ** 2
             else:
-                raise ValueError(f"unknown mode {mode!r}")
+                gap = 1 - um
+                term = m * fm * um / gap
+                total += term
+                if mode == "newton":
+                    total2 += m * term / gap
         if maj is not None and m >= check_from:
-            uhat = mp.exp(mp.mpf(w_pow) / m) * u
-            if uhat < 1:
-                gap_pow = inv_gap if mode != "d2phi" else inv_gap**2
-                tail = maj[0] * mp.mpf(m + 1) ** w_pow * um * u / (1 - uhat) * gap_pow
-                if tail < target:
+            for w, k in tail_pows:
+                uhat = mp.exp(mp.mpf(w) / m) * u
+                if not uhat < 1:
                     break
+                tail = maj[0] * mp.mpf(m + 1) ** w * um * u / (1 - uhat) * inv_gap**k
+                if not tail < target:
+                    break
+            else:
+                break
         if m > 10**7:
             raise ArithmeticError("weight sum failed to converge")
-    return total
+    return (total, total2) if mode == "newton" else total
 
 
 def phi_eval(spec: ExponentSpec, z, ctx: PrecisionContext):
@@ -522,42 +540,57 @@ def phi_deriv_eval(spec: ExponentSpec, z, ctx: PrecisionContext):
 
 def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
     """The unique z > 0 with -Phi'(z) = n (the summand is strictly
-    decreasing in z).  Bisection to a safe bracket, then Newton."""
+    decreasing in z).
+
+    Doubling or halving from z = 1 brackets the root; then safeguarded
+    Newton on t = log z for log(-Phi'(e^t)) = log n, nearly linear in t
+    because -Phi' behaves like a power of z.  Each step evaluates -Phi'
+    and Phi'' in one certified pass and narrows the bracket; a step
+    that leaves the bracket is replaced by its midpoint.  One weight
+    table serves every pass of the solve.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(spec, TableExponent) and not any(spec.values):
         raise ValueError("weight is identically zero")
     mp = ctx.mp
     nn = mp.mpf(n)
+    table: list = []
 
     def minus_phi_prime(z):
-        return _exp_weight_sum(spec, z, ctx, "dphi")
+        return _exp_weight_sum(spec, z, ctx, "dphi", table)
 
+    # double or halve from z = 1 until -Phi'(z) - n changes sign
     z = mp.mpf(1)
     hv = minus_phi_prime(z)
-    if hv > nn:
-        while hv > nn:
-            z = z * 2
-            hv = minus_phi_prime(z)
-        lo, hi = z / 2, z
+    above = hv > nn
+    factor = 2 if above else mp.mpf(1) / 2
+    while True:
+        z_prev, hv_prev = z, hv
+        z = z * factor
+        hv = minus_phi_prime(z)
+        if (hv > nn) != above:
+            break
+    if above:
+        lo, g_lo, hi, g_hi = z_prev, hv_prev, z, hv
     else:
-        while hv <= nn:
-            z = z / 2
-            hv = minus_phi_prime(z)
-        lo, hi = z, z * 2
-    for _ in range(30):
-        mid = (lo + hi) / 2
-        if minus_phi_prime(mid) > nn:
-            lo = mid
-        else:
-            hi = mid
-    z = (lo + hi) / 2
-    tol = z * mp.mpf(10) ** (-(ctx.digits + ctx.guard - 3))
+        lo, g_lo, hi, g_hi = z, hv, z_prev, hv_prev
+    # start at the secant of log(-Phi') against log z; hi = 2 lo
+    log_n = mp.log(nn)
+    frac = (mp.log(g_lo) - log_n) / (mp.log(g_lo) - mp.log(g_hi))
+    z = lo * mp.power(2, frac)
+    tol = mp.mpf(10) ** (-(ctx.digits + ctx.guard - 3))
     for _ in range(ctx.digits + ctx.guard):
-        residual = minus_phi_prime(z) - nn
-        slope = -_exp_weight_sum(spec, z, ctx, "d2phi")
-        step = residual / slope
-        z = z - step
+        hv, d2 = _exp_weight_sum(spec, z, ctx, "newton", table)
+        if hv > nn:
+            lo = z
+        else:
+            hi = z
+        # d log(-Phi') / dt = -z Phi'' / (-Phi')
+        step = (mp.log(hv) - log_n) * hv / (z * d2)
+        z = z * mp.exp(step)
         if abs(step) < tol:
             return z
+        if not lo < z < hi:
+            z = (lo + hi) / 2
     raise ArithmeticError("saddle-point iteration failed to converge")

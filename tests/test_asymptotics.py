@@ -20,6 +20,7 @@ from commtuple import (
     lf_data_ntuple,
     lf_data_power,
     recip_power_coeff,
+    rho_series_three_pole,
 )
 
 TOL = "1e-44"
@@ -217,6 +218,19 @@ def test_expansion_validation(ctx50):
     with pytest.raises(ValueError):
         AsymptoticExpansion(
             "x", one, Fraction(1), ((one, Fraction(1, 3)), (one, Fraction(1, 2)))
+        )
+
+
+def test_three_pole_given_saddle_series(ctx50):
+    data = lf_data_ntuple(5, ctx50)
+    own = expansion_three_pole(5, data, ctx50)
+    saddle = rho_series_three_pole(5, 6, data, ctx50)
+    assert expansion_three_pole(5, data, ctx50, saddle) == own
+    with pytest.raises(ValueError):
+        expansion_three_pole(5, data, ctx50, rho_series_three_pole(5, 5, data, ctx50))
+    with pytest.raises(ValueError):
+        expansion_three_pole(
+            5, data, ctx50, rho_series_three_pole(6, 7, lf_data_ntuple(6, ctx50), ctx50)
         )
 
 

@@ -83,6 +83,34 @@ def test_constants_json(capsys):
     assert abs(float(obj["c"][0]) - 12.8404946307) < 1e-9
 
 
+def test_constants_computes_saddle_series_once(capsys, monkeypatch):
+    from commtuple import PrecisionContext, lf_data_ntuple, rho_series_three_pole
+    from commtuple import saddle
+
+    ctx = PrecisionContext(50)
+    alone = rho_series_three_pole(5, 5, lf_data_ntuple(5, ctx), ctx).K
+    calls = []
+    real = saddle.curve_saddle_series
+
+    def counted(monomials, terms, ctx):
+        calls.append(terms)
+        return real(monomials, terms, ctx)
+
+    monkeypatch.setattr(saddle, "curve_saddle_series", counted)
+    for extra, n_k in (((), 5), (("--terms", "3"), 3), (("--terms", "5"), 5)):
+        calls.clear()
+        rc, out, _ = run(capsys, "constants", "--family", "ntuple", "--ell", "5",
+                         *extra)
+        assert rc == 0
+        # one K-series, with the ell + 1 terms the expansion needs
+        assert calls == [6]
+        k_lines = [l for l in out.splitlines() if l.startswith("K[")]
+        assert len(k_lines) == n_k
+        # K_5 vanishes identically; the others print as a 5-term series does
+        for j, line in enumerate(k_lines[:4]):
+            assert line == f"K[{j + 1}]: {ctx.to_str(alone[j])}"
+
+
 def test_determinism_and_jobs(capsys):
     _, first, _ = run(capsys, "constants", "--family", "ntuple", "--ell", "5")
     _, second, _ = run(capsys, "constants", "--family", "ntuple", "--ell", "5")

@@ -3,12 +3,16 @@ and the numeric saddle oracle."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commtuple import (
     LSeriesData,
     Power,
+    PrecisionContext,
     SubgroupCount,
     TableExponent,
     TruncPoly,
@@ -26,6 +30,36 @@ from commtuple import (
     weighted_partitions,
 )
 from commtuple.saddle import rising_product
+
+
+def curve_saddle_series_lagrange(monomials, terms, ctx):
+    """Oracle for curve_saddle_series: shift z to the leading root z_0,
+    invert the shifted curve w -> sum_k a_k(x) w^k compositionally, and
+    compose the inverse with -a_0(x); the K_j are the coefficients of
+    1/(z_0 + w(x)).  Same truncation, terms + 2 in x."""
+    trunc = terms + 2
+    mp = ctx.mp
+    gamma1, _, qmax = next(m for m in monomials if m[1] == 0)
+    z0 = ctx.power_frac(gamma1, Fraction(-1, qmax))
+    # a_k(x) = [w^k] (curve at z = w + z0); a_0 has no constant term
+    a = []
+    for k in range(qmax + 1):
+        coeffs = [mp.mpf(0)] * (trunc + 1)
+        for gam, p, q in monomials:
+            if k <= q and p <= trunc:
+                coeffs[p] += gam * comb(q, k) * z0 ** (q - k)
+        if k == 0:
+            coeffs[0] -= 1
+        a.append(TruncPoly(mp, coeffs, trunc))
+    b = lagrange_invert(a[1:], trunc)
+    minus_a0 = -a[0]
+    w = TruncPoly.zeros(mp, trunc)
+    pw = TruncPoly.one(mp, trunc)
+    for k in range(1, trunc + 1):
+        pw = pw * minus_a0
+        w = w + b[k - 1] * pw
+    recip = (w + z0).inverse()
+    return [recip.coeff(j) for j in range(terms)]
 
 
 def compose(outer, inner, order):
@@ -300,3 +334,55 @@ def test_phi_laurent_agreement(ctx50):
             laurent += dressed_residue((pole, res), ctx50) / nu * z**-nu
         laurent += -ctx50.real(data.l_at_zero) * mp.log(z) + data.l_prime_at_zero
         assert abs(phi_eval(spec, z, ctx50) - laurent) < mp.mpf(bound)
+
+
+def test_three_pole_series_against_lagrange_oracle(ctx50):
+    mp = ctx50.mp
+    for ell in (4, 5, 8):
+        data = lf_data_ntuple(ell, ctx50)
+        mon = [(data.c1, 0, ell), (data.c2, 1, ell - 1), (data.c3, 2, ell - 2)]
+        got = rho_series_three_pole(ell, ell + 1, data, ctx50).K
+        want = curve_saddle_series_lagrange(mon, ell + 1, ctx50)
+        for x, y in zip(got, want):
+            assert abs(x - y) < mp.mpf("1e-50") * max(1, abs(y))
+
+
+@st.composite
+def curves(draw):
+    """A leading monomial gamma_1 z^q (gamma_1 > 0, q <= 6) and one or two
+    monomials gamma x^p z^r with p >= 1 and 1 <= r <= q."""
+    qmax = draw(st.integers(1, 6))
+    lead = draw(st.fractions(Fraction(1, 4), 4, max_denominator=64))
+    mons = [(lead, 0, qmax)]
+    for _ in range(draw(st.integers(1, 2))):
+        gam = draw(st.fractions(-2, 2, max_denominator=64))
+        mons.append((gam, draw(st.integers(1, 3)), draw(st.integers(1, qmax))))
+    return mons
+
+
+@settings(max_examples=30, deadline=None)
+@given(curves(), st.integers(1, 8))
+def test_curve_series_matches_lagrange_oracle(mons, terms):
+    ctx = PrecisionContext(50)
+    mp = ctx.mp
+    mons = [(ctx.real(g), p, q) for g, p, q in mons]
+    got = curve_saddle_series(mons, terms, ctx)
+    want = curve_saddle_series_lagrange(mons, terms, ctx)
+    assert len(got) == terms
+    bound = mp.mpf(10) ** -(ctx.digits - 5)
+    for x, y in zip(got, want):
+        assert abs(x - y) <= bound * max(1, abs(y))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.one_of(st.builds(Power, st.integers(0, 2)),
+              st.builds(SubgroupCount, st.integers(1, 3))),
+    st.integers(1, 500),
+)
+def test_rho_numeric_solves_saddle_equation(spec, n):
+    ctx = PrecisionContext(50)
+    rho = rho_numeric(spec, n, ctx)
+    assert rho > 0
+    residual = -phi_deriv_eval(spec, rho, ctx) - n
+    assert abs(residual) <= ctx.mp.mpf(10) ** -ctx.digits * n
