@@ -83,7 +83,6 @@ from .saddle import (
     weighted_partitions,
 )
 from .series import (
-    COMPILED_KERNEL,
     BigIntSeq,
     brute_force_commuting,
     commuting_tuple_count,
@@ -101,7 +100,6 @@ from .series import (
 __all__ = [
     "AsymptoticExpansion",
     "BigIntSeq",
-    "COMPILED_KERNEL",
     "ComparisonRow",
     "ExponentSpec",
     "LSeriesData",

@@ -542,12 +542,15 @@ def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
     """The unique z > 0 with -Phi'(z) = n (the summand is strictly
     decreasing in z).
 
-    Doubling or halving from z = 1 brackets the root; then safeguarded
-    Newton on t = log z for log(-Phi'(e^t)) = log n, nearly linear in t
-    because -Phi' behaves like a power of z.  Each step evaluates -Phi'
-    and Phi'' in one certified pass and narrows the bracket; a step
-    that leaves the bracket is replaced by its midpoint.  One weight
-    table serves every pass of the solve.
+    Passes at z = 1 and at 2 or 1/2 toward the root give the slope of
+    log(-Phi') against log z; the solve starts where that secant meets
+    log n.  Then safeguarded Newton on t = log z for
+    log(-Phi'(e^t)) = log n, nearly linear in t because -Phi' behaves
+    like a power of z.  Each step evaluates -Phi' and Phi'' in one
+    certified pass and narrows the bracket [lo, hi] around the root; a
+    step that leaves the bracket is replaced by its midpoint, or, while
+    one side of the root is still unprobed, by doubling or halving z.
+    One weight table serves every pass of the solve.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -555,30 +558,23 @@ def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
         raise ValueError("weight is identically zero")
     mp = ctx.mp
     nn = mp.mpf(n)
-    table: list = []
-
-    def minus_phi_prime(z):
-        return _exp_weight_sum(spec, z, ctx, "dphi", table)
-
-    # double or halve from z = 1 until -Phi'(z) - n changes sign
-    z = mp.mpf(1)
-    hv = minus_phi_prime(z)
-    above = hv > nn
-    factor = 2 if above else mp.mpf(1) / 2
-    while True:
-        z_prev, hv_prev = z, hv
-        z = z * factor
-        hv = minus_phi_prime(z)
-        if (hv > nn) != above:
-            break
-    if above:
-        lo, g_lo, hi, g_hi = z_prev, hv_prev, z, hv
-    else:
-        lo, g_lo, hi, g_hi = z, hv, z_prev, hv_prev
-    # start at the secant of log(-Phi') against log z; hi = 2 lo
     log_n = mp.log(nn)
-    frac = (mp.log(g_lo) - log_n) / (mp.log(g_lo) - mp.log(g_hi))
-    z = lo * mp.power(2, frac)
+    table: list = []
+    lo = hi = None  # nearest probes below and above the root
+
+    z1 = mp.mpf(1)
+    g1 = _exp_weight_sum(spec, z1, ctx, "dphi", table)
+    z2 = z1 * 2 if g1 > nn else z1 / 2
+    g2 = _exp_weight_sum(spec, z2, ctx, "dphi", table)
+    # z2 lies toward the root from z1, so it is the nearer probe on its side
+    for z, g in ((z1, g1), (z2, g2)):
+        if g > nn:
+            lo = z
+        else:
+            hi = z
+    slope = (mp.log(g2) - mp.log(g1)) / (mp.log(z2) - mp.log(z1))
+    z = z2 * mp.exp((log_n - mp.log(g2)) / slope)
+    log_2 = mp.log(2)
     tol = mp.mpf(10) ** (-(ctx.digits + ctx.guard - 3))
     for _ in range(ctx.digits + ctx.guard):
         hv, d2 = _exp_weight_sum(spec, z, ctx, "newton", table)
@@ -588,9 +584,12 @@ def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
             hi = z
         # d log(-Phi') / dt = -z Phi'' / (-Phi')
         step = (mp.log(hv) - log_n) * hv / (z * d2)
-        z = z * mp.exp(step)
         if abs(step) < tol:
-            return z
-        if not lo < z < hi:
-            z = (lo + hi) / 2
+            return z * mp.exp(step)
+        if lo is None or hi is None:
+            z = z * mp.exp(max(-log_2, min(step, log_2)))
+        else:
+            z = z * mp.exp(step)
+            if not lo < z < hi:
+                z = (lo + hi) / 2
     raise ArithmeticError("saddle-point iteration failed to converge")

@@ -4,16 +4,21 @@ G(q) = prod_{n>=1} (1 - q^n)^{-f(n)}.
 Taking the logarithmic derivative of G gives
     n p(n) = sum_{k=1}^{n} c(k) p(n-k),        c(k) = sum_{d|k} d f(d),
 with p(0) = 1, and every division by n is exact; the divmod check in
-the kernels doubles as an integrality witness for each computed row.
-The inner loop is the hot path of the whole package: a compiled kernel
-is used when the extension built, with a pure-Python fallback.
+the kernel doubles as an integrality witness for each computed row.
+This recurrence is the hot path of the whole package.  The kernel
+`_run_kernel` finishes blocks of rows at a time: the part of each row
+that depends on rows before the block is summed for the whole block at
+once, in fixed-width slots of one big integer, and the rest row by row.
+`_expand_py.expand_kernel` is the plain row-by-row oracle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 
 from .arith import (
     ExponentSpec,
@@ -23,22 +28,10 @@ from .arith import (
     family_label,
 )
 
-try:
-    from . import _expand_cy as _kernel
-
-    COMPILED_KERNEL = True
-except ImportError:  # extension not built; interpreter fallback
-    from . import _expand_py as _kernel
-
-    COMPILED_KERNEL = False
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:
-    _mpz = None
-
-# below this range plain ints beat the mpz conversion overhead
-_MPZ_CUTOFF = 512
+# rows finished per packed pass, and the widest slot (bits) at which a
+# packed pass still beats one dot product per row
+_BLOCK = 128
+_PACK_MAX_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -78,12 +71,63 @@ def weighted_divisor_table(f_table: list[int]) -> list[int]:
     return c
 
 
+def _packed_past(c: list[int], p: list[int], a: int, m: int, s8: int) -> list[int]:
+    """sum_{k>j} c(k) p(a+j-k) for j = 0..m-1: the part of rows a..a+m-1
+    that depends only on the known rows p(0..a-1).
+
+    Slot j of the window w_k holds p(a+j-k), zero where that row is not
+    known, so one pass over k adds c(k) w_k to every row at once.  The
+    caller picks the slot width 8*s8 so that no slot sum reaches the
+    next slot, which needs c >= 0.
+    """
+    width = 8 * s8
+    mask = (1 << (m * width)) - 1
+    acc = w = 0
+    for ck, pk in zip(c[1 : a + m], p[a - 1 :: -1] + [0] * (m - 1)):
+        w = ((w << width) & mask) | pk
+        if ck:
+            acc += ck * w
+    raw = acc.to_bytes(m * s8, "little")
+    return [int.from_bytes(raw[i : i + s8], "little") for i in range(0, m * s8, s8)]
+
+
 def _run_kernel(c: list[int], n_max: int) -> list[int]:
-    if _mpz is not None and n_max >= _MPZ_CUTOFF:
-        raw = _kernel.expand_kernel([_mpz(x) for x in c], n_max)
-    else:
-        raw = _kernel.expand_kernel(list(c), n_max)
-    return [int(v) for v in raw]
+    """p(0..n_max) with n p(n) = sum_{k=1}^{n} c(k) p(n-k), p(0) = 1.
+
+    Rows are finished in blocks of _BLOCK.  A block's dependence on
+    earlier rows comes from one packed pass whose slots are wide enough
+    to hold every row's sum: bit length of the largest row so far plus
+    that of sum c(k) over the block, which bounds each partial sum
+    while c >= 0.  A signed c, or slots wider than _PACK_MAX_BITS, take
+    blocks of one row, each one dot product.  Every row is divided
+    exactly by n or the table is rejected.
+    """
+    p = [0] * (n_max + 1)
+    p[0] = 1
+    packable = min(c[1 : n_max + 1], default=0) >= 0
+    c_sum = list(accumulate(c[: n_max + 1])) if packable else []
+    top = 1  # largest bit length among the rows found so far
+    a = 1
+    while a <= n_max:
+        m = min(_BLOCK, n_max + 1 - a)
+        past = None
+        if packable and m > 1:
+            s8 = (top + c_sum[a + m - 1].bit_length() + 8) >> 3
+            if 8 * s8 <= _PACK_MAX_BITS:
+                past = _packed_past(c, p, a, m, s8)
+        if past is None:
+            m = 1
+            past = [sum(map(mul, c[1 : a + 1], p[a - 1 :: -1]))]
+        for j in range(m):
+            n = a + j
+            s = past[j] + sum(map(mul, c[1 : j + 1], p[n - 1 : a - 1 : -1]))
+            q, r = divmod(s, n)
+            if r:
+                raise ArithmeticError(f"inexact division at n={n}")
+            p[n] = q
+            top = max(top, q.bit_length())
+        a += m
+    return p
 
 
 def expand_product(spec: ExponentSpec, n_max: int) -> BigIntSeq:

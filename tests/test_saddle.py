@@ -297,6 +297,25 @@ def test_rho_numeric_matches_series(ctx50):
     assert errs[2] < mp.mpf("1e-8")
 
 
+def test_rho_numeric_starts_near_root(ctx50, monkeypatch):
+    # the secant through the passes at z = 1 and 1/2 lands near the root
+    # 0.188, so no further passes are spent halving toward it
+    from commtuple import saddle
+
+    calls = []
+    weight_sum = saddle._exp_weight_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return weight_sum(*args, **kwargs)
+
+    monkeypatch.setattr(saddle, "_exp_weight_sum", counted)
+    rho = rho_numeric(SubgroupCount(3), 10**4, ctx50)
+    assert ctx50.mp.nstr(rho, 50) == "0.18792226622457854317504841244316034698873662801038"
+    assert calls[:2] == ["dphi", "dphi"]
+    assert len(calls) <= 7
+
+
 def test_rho_numeric_guards(ctx50):
     assert ctx50.digits >= 50
     with pytest.raises(ValueError):

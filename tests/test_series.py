@@ -6,18 +6,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commtuple import (
     BigIntSeq,
-    COMPILED_KERNEL,
     Power,
     SubgroupCount,
     TableExponent,
     brute_force_commuting,
     commuting_tuple_count,
+    evaluate_exponent,
     expand_product,
     expand_product_direct,
     factorial_scaled,
+    ntuple_exponent,
     ntuple_sequence,
     pentagonal_p,
     seq_to_csv,
@@ -26,6 +29,7 @@ from commtuple import (
     weighted_divisor_table,
 )
 from commtuple import _expand_py
+from commtuple.series import _BLOCK, _PACK_MAX_BITS, _run_kernel
 
 
 def test_weighted_divisor_table():
@@ -97,12 +101,56 @@ def test_pure_kernel_matches_active_kernel():
         assert _run_kernel(c, 90) == _expand_py.expand_kernel(c, 90)
 
 
-def test_mpz_cutoff_boundary():
-    # values around the int/mpz switch must agree with the direct route
-    seq = expand_product(SubgroupCount(2), 300)
-    direct = expand_product_direct(SubgroupCount(2), 300)
-    assert list(seq.values) == list(direct.values)
-    assert all(isinstance(v, int) for v in seq.values)
+def test_packing_crossover():
+    # N_7 passes the widest packed slot near n = 500: blocks below it are
+    # packed, the rows after it are single dot products
+    n_max = 700
+    c = weighted_divisor_table(evaluate_exponent(SubgroupCount(6), n_max))
+    p = _run_kernel(c, n_max)
+    assert p[_BLOCK].bit_length() < _PACK_MAX_BITS < p[n_max].bit_length()
+    assert p == _expand_py.expand_kernel(c, n_max)
+    assert all(isinstance(v, int) for v in p)
+
+
+@st.composite
+def weight_tables(draw):
+    """Non-negative f(1..N) built from runs: zeros (f(1) = 0 is allowed,
+    so p need not be monotone), small weights, and weights up to 10^4
+    whose coefficients are too wide to pack."""
+    n_max = draw(st.one_of(st.sampled_from([127, 128, 129, 256]), st.integers(0, 400)))
+    values: list[int] = []
+    while len(values) < n_max:
+        kind = draw(st.sampled_from(["zeros", "small", "wide"]))
+        run = draw(st.integers(1, 80))
+        if kind == "zeros":
+            values += [0] * run
+        elif kind == "small":
+            values += draw(st.lists(st.integers(0, 3), min_size=run, max_size=run))
+        else:
+            values += draw(st.lists(st.integers(0, 10**4), min_size=1, max_size=3))
+    return TableExponent(tuple(values[:n_max])), n_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_tables())
+def test_kernel_matches_oracles(table):
+    spec, n_max = table
+    seq = expand_product(spec, n_max)
+    c = weighted_divisor_table(evaluate_exponent(spec, n_max))
+    assert list(seq.values) == _expand_py.expand_kernel(c, n_max)
+    if n_max <= 120:
+        assert seq.values == expand_product_direct(spec, n_max).values
+
+
+@pytest.mark.parametrize("k", [50, 200])
+def test_integrality_witness_in_production_kernel(k):
+    # c(k) + 1 adds p(0) = 1 to k p(k) alone, so row k is the first
+    # inexact row, whether c(k) falls in the first block or a later one
+    c = weighted_divisor_table(evaluate_exponent(ntuple_exponent(2, 300), 300))
+    assert _run_kernel(c, 300) == list(pentagonal_p(300).values)
+    c[k] += 1
+    with pytest.raises(ArithmeticError, match=f"at n={k}$"):
+        _run_kernel(c, 300)
 
 
 def test_commuting_counts():
@@ -165,10 +213,6 @@ def test_serializers():
     seq = BigIntSeq((1, 1, 2), 0, "p")
     assert seq_to_csv(seq) == "n,value\n0,1\n1,1\n2,2\n"
     assert json.loads(seq_to_json(seq)) == ["1", "1", "2"]
-
-
-def test_compiled_flag_is_bool():
-    assert isinstance(COMPILED_KERNEL, bool)
 
 
 def test_integrality_witness_rejects_bad_table():
