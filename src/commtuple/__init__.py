@@ -33,15 +33,12 @@ from .asymptotics import (
     AsymptoticExpansion,
     ComparisonRow,
     compare_exact_asym,
-    d_coefficients,
-    dressed_residue,
     estimate_B1,
     evaluate_expansion,
+    expansion,
     expansion_one_pole,
     expansion_three_pole,
     expansion_two_pole,
-    power_coefficient,
-    recip_power_coeff,
 )
 from .inequalities import (
     ScanReport,
@@ -53,9 +50,20 @@ from .inequalities import (
 from .lfunction import (
     LSeriesData,
     c_constants,
+    dressed_residue,
     lf_data_for,
     lf_data_ntuple,
     lf_data_power,
+)
+from .oracles import (
+    d_coefficients,
+    lagrange_invert,
+    multinomial,
+    power_coefficient,
+    recip_power_coeff,
+    two_pole_K,
+    two_pole_K_series,
+    weighted_partitions,
 )
 from .precision import (
     PrecisionContext,
@@ -72,15 +80,11 @@ from .saddle import (
     SaddleExpansion,
     TruncPoly,
     curve_saddle_series,
-    lagrange_invert,
-    multinomial,
     phi_deriv_eval,
     phi_eval,
     rho_numeric,
     rho_series_three_pole,
-    two_pole_K,
-    two_pole_K_series,
-    weighted_partitions,
+    saddle_series,
 )
 from .series import (
     BigIntSeq,
@@ -128,6 +132,7 @@ __all__ = [
     "evaluate_exponent",
     "expand_product",
     "expand_product_direct",
+    "expansion",
     "expansion_one_pole",
     "expansion_three_pole",
     "expansion_two_pole",
@@ -155,6 +160,7 @@ __all__ = [
     "report_to_json",
     "rho_numeric",
     "rho_series_three_pole",
+    "saddle_series",
     "seq_to_csv",
     "seq_to_json",
     "subgroup_count_table",

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import stat
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -32,22 +34,16 @@ from .arith import (
     hnf_subgroup_count,
     subgroup_count_table,
 )
-from .asymptotics import (
-    compare_exact_asym,
-    dressed_residue,
-    expansion_one_pole,
-    expansion_three_pole,
-    expansion_two_pole,
-)
+from .asymptotics import compare_exact_asym, expansion
 from .inequalities import (
     _factorial_log_convexity_scan,
     bessenrodt_ono_scan,
     log_concavity_scan,
     report_to_json,
 )
-from .lfunction import lf_data_ntuple, lf_data_power
+from .lfunction import lf_data_for
 from .precision import PrecisionContext
-from .saddle import rho_series_three_pole, two_pole_K
+from .saddle import saddle_series
 from .series import (
     BigIntSeq,
     brute_force_commuting,
@@ -96,6 +92,11 @@ def _parse_points(text: str) -> tuple[int, ...]:
     return pts
 
 
+# ASCII int() literals; decimal reads them exactly and, unlike int(),
+# past CPython's 4300-digit limit on str-to-int conversion
+_INT_LITERAL = re.compile(r" *[+-]?[0-9]+(?:_[0-9]+)*")
+
+
 def _read_table(path: str) -> TableExponent:
     """CSV file of rows n,value (header optional); each n from 1 to N
     exactly once."""
@@ -107,7 +108,8 @@ def _read_table(path: str) -> TableExponent:
                 continue
             n_str, _, v_str = line.partition(",")
             try:
-                n, v = int(n_str), int(v_str)
+                n = int(n_str)
+                v = int(Decimal(v_str) if _INT_LITERAL.fullmatch(v_str) else v_str)
             except ValueError:
                 raise ValueError(f"bad table row {line!r}") from None
             if n < 1:
@@ -151,46 +153,14 @@ def _family_sequence(cfg: RunConfig, n_max: int) -> BigIntSeq:
     return expand_product(_exponent_spec(cfg, n_max), n_max)
 
 
-def _l_data(cfg: RunConfig, ctx: PrecisionContext):
-    if cfg.family == "ntuple":
-        if cfg.ell is None:
-            raise ValueError("--family ntuple requires --ell")
-        return lf_data_ntuple(cfg.ell, ctx)
-    if cfg.family == "power":
-        if cfg.d is None:
-            raise ValueError("--family power requires --d")
-        return lf_data_power(cfg.d, ctx)
-    raise ValueError(f"no L-series data for family {cfg.family!r}")
-
-
 def _expansion(cfg: RunConfig, data, ctx: PrecisionContext, saddle=None):
-    npoles = len(data.poles)
-    if npoles == 1:
-        exp = expansion_one_pole(data, ctx)
-    elif npoles == 2:
-        exp = expansion_two_pole(data, ctx)
-    else:
-        exp = expansion_three_pole(cfg.ell, data, ctx, saddle)
+    """The family's expansion, cut to its first --terms terms."""
+    exp = expansion(data, ctx, saddle)
     if cfg.terms is not None:
         if not 1 <= cfg.terms <= len(exp.terms):
             raise ValueError(f"--terms must be in 1..{len(exp.terms)} here")
         exp = type(exp)(exp.family, exp.C, exp.b, exp.terms[: cfg.terms])
     return exp
-
-
-def _saddle_K(cfg: RunConfig, data, ctx: PrecisionContext, saddle):
-    """K_1.. of the saddle point; a three-pole family reads them from
-    saddle, the series its expansion was built from."""
-    npoles = len(data.poles)
-    if npoles == 1:
-        c1 = dressed_residue(data.poles[0], ctx)
-        return [ctx.power_frac(c1, Fraction(1) / (data.alpha + 1))]
-    if npoles == 2:
-        c1 = dressed_residue(data.poles[0], ctx)
-        c2 = dressed_residue(data.poles[1], ctx)
-        terms = min(cfg.terms or 3, 5)
-        return two_pole_K(data.poles[0][0], data.poles[1][0], c1, c2, terms, ctx)
-    return list(saddle.K[: cfg.terms or cfg.ell])
 
 
 def _fmt_frac(q: Fraction) -> str:
@@ -223,13 +193,10 @@ def _cmd_gl(cfg: RunConfig) -> str:
 
 def _cmd_constants(cfg: RunConfig) -> str:
     ctx = PrecisionContext(cfg.digits)
-    data = _l_data(cfg, ctx)
-    saddle = None
-    if len(data.poles) == 3:
-        # the K_1..K_{ell+1} that expansion_three_pole needs; --terms <= ell
-        saddle = rho_series_three_pole(cfg.ell, cfg.ell + 1, data, ctx)
+    data = lf_data_for(_exponent_spec(cfg, 1), ctx)
+    saddle = saddle_series(data, ctx)
     exp = _expansion(cfg, data, ctx, saddle)
-    ks = _saddle_K(cfg, data, ctx, saddle)
+    ks = saddle.K[: len(exp.terms)]
     fmt = cfg.fmt or "text"
     if fmt == "json":
         import json
@@ -278,7 +245,7 @@ def _cmd_constants(cfg: RunConfig) -> str:
 
 def _cmd_compare(cfg: RunConfig) -> str:
     ctx = PrecisionContext(cfg.digits)
-    data = _l_data(cfg, ctx)
+    data = lf_data_for(_exponent_spec(cfg, 1), ctx)
     exp = _expansion(cfg, data, ctx)
     seq = _family_sequence(cfg, max(cfg.points))
     rows = compare_exact_asym(seq, exp, sorted(cfg.points), ctx)

@@ -88,18 +88,30 @@ def _l_prime_at_zero(ell: int, ctx: PrecisionContext):
     return total
 
 
+def dressed_residue(pole, ctx: PrecisionContext):
+    """Saddle coefficient nu! zeta(nu+1) omega of an integer pole at nu
+    where L has residue omega: the pole contributes nu! zeta(nu+1) omega
+    z^{-nu-1} to -Phi'(z)."""
+    nu, omega = pole
+    if nu != int(nu):
+        raise ValueError("integer pole locations required")
+    nu = int(nu)
+    return factorial(nu) * zeta_int(nu + 1, ctx) * omega
+
+
 def c_constants(ell: int, ctx: PrecisionContext):
     """Saddle coefficients (C_1, C_2, C_3) of the three-pole families:
     -Phi'(z) = C_1 z^{-ell} + C_2 z^{-ell+1} + C_3 z^{-ell+2} + ...
 
-    C_i = (ell-i)! zeta(ell-i+1) x (residue of L at ell-i).  C_1 > 0,
-    C_2 < 0 (a zeta(0) factor), C_3 > 0.
+    C_i is the dressed residue of the pole at ell-i.  C_1 > 0, C_2 < 0
+    (a zeta(0) factor), C_3 > 0.
     """
     if ell < 4:
         raise ValueError("three-pole data requires ell >= 4")
-    c1 = factorial(ell - 1) * zeta_int(ell, ctx) * _ntuple_residue(ell, ell - 1, ctx)
-    c2 = factorial(ell - 2) * zeta_int(ell - 1, ctx) * _ntuple_residue(ell, ell - 2, ctx)
-    c3 = factorial(ell - 3) * zeta_int(ell - 2, ctx) * _ntuple_residue(ell, ell - 3, ctx)
+    c1, c2, c3 = (
+        dressed_residue((nu, _ntuple_residue(ell, nu, ctx)), ctx)
+        for nu in (ell - 1, ell - 2, ell - 3)
+    )
     if not (c1 > 0 and c2 < 0 and c3 > 0):
         raise ArithmeticError("saddle coefficients have unexpected signs")
     return c1, c2, c3

@@ -1,0 +1,292 @@
+"""Independent slow routes for the saddle-point constants, for the
+tests only: no production module imports this one.  two_pole_K gives
+closed forms of K_1..K_5 for two poles; lagrange_invert inverts series
+compositionally, behind the tests' oracle for curve_saddle_series; and
+recip_power_coeff, d_coefficients and power_coefficient enumerate
+weighted multi-indices to assemble the A_k without series arithmetic.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+
+from .precision import PrecisionContext
+from .saddle import SaddleExpansion, TruncPoly, curve_saddle_series
+
+# --- combinatorial helpers ---
+
+
+def _int_partitions(n: int, max_part: int | None = None):
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, max_part), 0, -1):
+        for rest in _int_partitions(n - p, p):
+            yield (p,) + rest
+
+
+def weighted_partitions(weight: int):
+    """Yield multiplicity tuples (l_1, ..., l_weight), sum i*l_i = weight."""
+    if weight < 0:
+        raise ValueError("weight must be >= 0")
+    for part in _int_partitions(weight):
+        mult = [0] * weight
+        for p in part:
+            mult[p - 1] += 1
+        yield tuple(mult)
+
+
+def multinomial(total: int, parts) -> int:
+    """total! / prod(parts!) with sum(parts) <= total; the remainder
+    total - sum(parts) is treated as one more part."""
+    rest = total - sum(parts)
+    if rest < 0:
+        raise ValueError("parts exceed total")
+    out = factorial(total) // factorial(rest)
+    for p in parts:
+        out //= factorial(p)
+    return out
+
+
+def rising_product(k: int, length: int) -> int:
+    """k (k+1) ... (k+length-1); empty product is 1."""
+    out = 1
+    for t in range(length):
+        out *= k + t
+    return out
+
+
+def _binom_frac(top: Fraction, m: int) -> Fraction:
+    out = Fraction(1)
+    for t in range(m):
+        out *= top - t
+    return out / factorial(m)
+
+
+# --- series-of-series helpers (z-series with ring coefficients) ---
+
+
+def _ring_inv(x):
+    if isinstance(x, TruncPoly):
+        return x.inverse()
+    return 1 / x
+
+
+def _ser_mul(u, v, top, zero):
+    out = [zero] * (top + 1)
+    for i, a in enumerate(u[: top + 1]):
+        for j in range(0, top + 1 - i):
+            b = v[j]
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _ser_inv(v, top, zero):
+    inv = [zero] * (top + 1)
+    inv0 = _ring_inv(v[0])
+    inv[0] = inv0
+    for n in range(1, top + 1):
+        s = zero
+        for k in range(1, n + 1):
+            s = s + v[k] * inv[n - k]
+        inv[n] = zero - inv0 * s
+    return inv
+
+
+def _ser_compose(f, g, top, zero):
+    """f(g(z)) truncated; f given by coefficients f[0..deg], g[0] == zero."""
+    acc = [zero] * (top + 1)
+    for fk in reversed(f):
+        acc = _ser_mul(acc, g, top, zero)
+        acc[0] = acc[0] + fk
+    return acc
+
+
+def lagrange_invert(a, terms: int, method: str = "newton"):
+    """Compositional inverse of f(w) = a_1 w + a_2 w^2 + ... .
+
+    Input a = [a_1, a_2, ...] over a commutative ring (context reals or
+    TruncPoly); returns [b_1, ..., b_terms] with f(g(z)) = z for
+    g(z) = sum b_k z^k.
+
+    method "newton": order-doubling iteration on truncated series.
+    method "formula": the explicit multi-index sum
+
+        b_k = 1/(k a_1^k) * sum over (l_1, l_2, ...), sum i l_i = k-1,
+              of (-1)^{l_1+l_2+...} [k (k+1) ... (k-1+l_1+l_2+...)]
+              / (l_1! l_2! ...) * (a_2/a_1)^{l_1} (a_3/a_1)^{l_2} ...
+
+    whose combinatorial growth caps it at terms <= 8; it checks the
+    Newton route.
+    """
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    if not a:
+        raise ValueError("need at least a_1")
+    if method == "newton":
+        return _lagrange_newton(a, terms)
+    if method == "formula":
+        return _lagrange_formula(a, terms)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _lagrange_newton(a, terms: int):
+    zero = a[0] * 0
+    deg = len(a)
+    f = [zero] + list(a)  # f[k] = a_k
+    fp = [(k + 1) * a[k] for k in range(deg)]  # f'(w) coefficients
+    g = [zero, _ring_inv(a[0])] + [zero] * (terms - 1)
+    iters = max(1, terms - 1).bit_length() + 1
+    for _ in range(iters):
+        fg = _ser_compose(f, g, terms, zero)
+        fg[1] = fg[1] - 1  # subtract z
+        fpg = _ser_compose(fp, g, terms, zero)
+        delta = _ser_mul(fg, _ser_inv(fpg, terms, zero), terms, zero)
+        g = [gi - di for gi, di in zip(g, delta)]
+    return g[1 : terms + 1]
+
+
+def _lagrange_formula(a, terms: int):
+    if terms > 8:
+        raise ValueError("formula route capped at 8 terms")
+    zero = a[0] * 0
+    apad = list(a) + [zero] * max(0, terms - len(a))
+    u = _ring_inv(a[0])
+    # u^e cache up to the largest needed exponent
+    max_e = 2 * terms
+    upow = [None] * (max_e + 1)
+    upow[0] = zero + 1
+    for e in range(1, max_e + 1):
+        upow[e] = upow[e - 1] * u
+    out = []
+    for k in range(1, terms + 1):
+        acc = zero
+        for mult in weighted_partitions(k - 1):
+            big_l = sum(mult)
+            coef = Fraction((-1) ** big_l * rising_product(k, big_l), k)
+            for li in mult:
+                coef /= factorial(li)
+            term = upow[k + big_l]
+            for i, li in enumerate(mult, start=1):
+                if li:
+                    term = term * (apad[i] ** li)
+            acc = acc + term * coef.numerator / coef.denominator
+        out.append(acc)
+    return out
+
+
+# --- two-pole K-series ---
+
+
+def two_pole_K(alpha, beta, c1, c2, terms: int, ctx: PrecisionContext):
+    """Closed-form K_1..K_terms (terms <= 5) for a two-pole saddle
+    equation c_1 rho^{-alpha-1} + c_2 rho^{-beta-1} = n, alpha > beta."""
+    if not 1 <= terms <= 5:
+        raise ValueError("closed forms available for 1..5 terms")
+    al = Fraction(alpha)
+    be = Fraction(beta)
+    if not al > be > 0:
+        raise ValueError("need alpha > beta > 0")
+    a1 = al + 1
+
+    def cpow(e: Fraction):
+        return ctx.power_frac(c1, e)
+
+    def rat(f: Fraction):
+        return ctx.real(f)
+
+    ks = [cpow(Fraction(1) / a1)]
+    ks.append(c2 / (rat(a1) * cpow(be / a1)))
+    p3 = al - 2 * be
+    ks.append(c2**2 * rat(p3 / (2 * a1**2)) / cpow((2 * be + 1) / a1))
+    p4 = 2 * al**2 - 9 * al * be - 2 * al + 9 * be**2 + 3 * be
+    ks.append(c2**3 * rat(p4 / (6 * a1**3)) / cpow((3 * be + 2) / a1))
+    p5 = (
+        6 * al**3
+        - 44 * al**2 * be
+        - 15 * al**2
+        + 96 * al * be**2
+        + 56 * al * be
+        + 6 * al
+        - 64 * be**3
+        - 48 * be**2
+        - 8 * be
+    )
+    ks.append(c2**4 * rat(p5 / (24 * a1**4)) / cpow((4 * be + 3) / a1))
+    return ks[:terms]
+
+
+def two_pole_K_series(alpha: int, beta: int, c1, c2, terms: int, ctx: PrecisionContext):
+    """Same coefficients by the generic curve inversion (integer
+    exponents only): c_1 z^{alpha+1} + c_2 x z^{beta+1} = 1 with
+    x = n^{-(alpha-beta)/(alpha+1)}."""
+    if not (isinstance(alpha, int) and isinstance(beta, int) and alpha > beta >= 1):
+        raise ValueError("integer alpha > beta >= 1 required")
+    mon = [(c1, 0, alpha + 1), (c2, 1, beta + 1)]
+    return curve_saddle_series(mon, terms, ctx)
+
+
+# --- coefficients of powers of the K-series by enumeration ---
+
+
+def recip_power_coeff(K, nu: Fraction, target: int, ctx: PrecisionContext):
+    """[x^target] (K_1 + K_2 x + K_3 x^2 + ...)^{-nu}, K_1 > 0, via
+
+        K_1^{-nu} sum_m binom(-nu, m) sum_{(j): sum t j_t = target,
+        sum j_t = m} multinom(m; j) prod_t (K_{t+1}/K_1)^{j_t}.
+    """
+    if target < 0:
+        return ctx.mp.mpf(0)
+    lead = ctx.power_frac(K[0], -nu)
+    if target == 0:
+        return lead
+    if target >= len(K):
+        raise ValueError("series too short for requested coefficient")
+    inv_k1 = 1 / K[0]
+    acc = ctx.mp.mpf(0)
+    for j in weighted_partitions(target):
+        m = sum(j)
+        term = ctx.real(_binom_frac(-nu, m) * multinomial(m, j))
+        for t, jt in enumerate(j, start=1):
+            if jt:
+                term = term * (K[t] * inv_k1) ** jt
+        acc += term
+    return lead * acc
+
+
+def d_coefficients(saddle: SaddleExpansion, upto: int, ctx: PrecisionContext):
+    """D_0..D_upto of D(x) = x/rho(x) = 1/(K_1 + K_2 x + ...), by exact
+    multinomial enumeration:
+
+    D_m = K_1^{-1} sum_{(j): sum t j_t = m} (-1)^{sum j} multinom(sum j; j)
+          prod_t (K_{t+1}/K_1)^{j_t}.
+    """
+    if upto >= len(saddle.K):
+        raise ValueError("saddle series too short for requested D range")
+    return [recip_power_coeff(saddle.K, Fraction(1), m, ctx) for m in range(upto + 1)]
+
+
+def power_coefficient(d, exponent: int, index: int, ctx: PrecisionContext):
+    """[x^index] (d_0 + d_1 x + ...)^exponent for integer exponent >= 0,
+    by multinomial enumeration over weighted multi-indices."""
+    if index < 0:
+        return ctx.mp.mpf(0)
+    if exponent == 0:
+        return ctx.real(1 if index == 0 else 0)
+    if index >= len(d):
+        raise ValueError("series too short for requested coefficient")
+    acc = ctx.mp.mpf(0)
+    for j in weighted_partitions(index) if index else [()]:
+        tot = sum(j)
+        if tot > exponent:
+            continue
+        term = ctx.real(Fraction(multinomial(exponent, j)))
+        term = term * d[0] ** (exponent - tot)
+        for t, jt in enumerate(j, start=1):
+            if jt:
+                term = term * d[t] ** jt
+        acc += term
+    return acc

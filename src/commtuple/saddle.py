@@ -1,19 +1,22 @@
 """Truncated-series saddle-point machinery.
 
-The saddle equation of a product family is rewritten as a polynomial
-curve  F(x, z) = sum_i gamma_i x^{p_i} z^{q_i} - 1 = 0  in scaled
-variables (x a fixed negative power of n, z the scaled reciprocal saddle
-point).  Newton's iteration z <- z - F(x, z)/F_z(x, z) on power series
-in x, started at the leading root z_0 = gamma_1^{-1/q}, doubles the
-number of correct coefficients per step; a final series reciprocal gives
-the correction coefficients K_1, K_2, ... of the saddle point
+Integer poles alpha = nu_1 > nu_2 > ... >= 1 of a family's Dirichlet
+series, with dressed residues c_i, give the saddle equation
+sum_i c_i rho^{-nu_i - 1} = n.  With rho = n^{-1/(alpha+1)} / z and
+x = n^{-s/(alpha+1)}, s = gcd(alpha - nu_i), it is the polynomial curve
 
-    rho_n = K_1 n^{-1/q} + K_2 n^{-1/q - s} + K_3 n^{-1/q - 2s} + ...
+    F(x, z) = sum_i c_i x^{p_i} z^{nu_i + 1} - 1 = 0,  p_i = (alpha - nu_i)/s,
+
+which saddle_series builds.  curve_saddle_series solves any such curve
+by Newton's iteration z <- z - F/F_z on power series in x, started at
+the leading root z_0 = c_1^{-1/(alpha+1)}, which doubles the number of
+correct coefficients per step; the coefficients of 1/z(x) are the K_j of
+
+    rho_n = K_1 n^{-1/(alpha+1)} + K_2 n^{-(1+s)/(alpha+1)} + ...
 
 All coefficient arithmetic is dense polynomial-in-x truncated at a
-single internal order (J + 2 for J requested terms).  lagrange_invert
-(compositional inversion of a shifted curve) is kept as an independent
-oracle for this route.
+single internal order (J + 2 for J requested terms).  oracles.py holds
+the Lagrange-inversion route that checks it.
 
 rho_numeric solves the untruncated saddle equation by summation with
 certified tail bounds and serves as the oracle for the series route.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import gcd
 
 from .arith import (
     ExponentSpec,
@@ -33,52 +36,8 @@ from .arith import (
     TableExponent,
     evaluate_exponent,
 )
+from .lfunction import dressed_residue
 from .precision import PrecisionContext
-
-# --- small combinatorial helpers (shared with the expansion assembly) ---
-
-
-def _int_partitions(n: int, max_part: int | None = None):
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(n, max_part), 0, -1):
-        for rest in _int_partitions(n - p, p):
-            yield (p,) + rest
-
-
-def weighted_partitions(weight: int):
-    """Yield multiplicity tuples (l_1, ..., l_weight), sum i*l_i = weight."""
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
-    for part in _int_partitions(weight):
-        mult = [0] * weight
-        for p in part:
-            mult[p - 1] += 1
-        yield tuple(mult)
-
-
-def multinomial(total: int, parts) -> int:
-    """total! / prod(parts!) with sum(parts) <= total; the remainder
-    total - sum(parts) is treated as one more part."""
-    rest = total - sum(parts)
-    if rest < 0:
-        raise ValueError("parts exceed total")
-    out = factorial(total) // factorial(rest)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
-def rising_product(k: int, length: int) -> int:
-    """k (k+1) ... (k+length-1); empty product is 1."""
-    out = 1
-    for t in range(length):
-        out *= k + t
-    return out
-
 
 # --- dense truncated polynomials over a context's mpf ---
 
@@ -104,13 +63,6 @@ class TruncPoly:
     @classmethod
     def one(cls, mp, order: int) -> "TruncPoly":
         return cls(mp, [mp.mpf(1)], order)
-
-    @classmethod
-    def x_power(cls, mp, p: int, order: int, scale=1) -> "TruncPoly":
-        c = [mp.mpf(0)] * (order + 1)
-        if p <= order:
-            c[p] = mp.mpf(1) * scale
-        return cls(mp, c, order)
 
     def coeff(self, i: int):
         return self.coeffs[i] if i <= self.order else self.mp.mpf(0)
@@ -193,128 +145,28 @@ class TruncPoly:
         return f"TruncPoly({self.coeffs})"
 
 
-def _ring_inv(x):
-    if isinstance(x, TruncPoly):
-        return x.inverse()
-    return 1 / x
-
-
-# --- series-of-series helpers (z-series with ring coefficients) ---
-
-
-def _ser_mul(u, v, top, zero):
-    out = [zero] * (top + 1)
-    for i, a in enumerate(u[: top + 1]):
-        for j in range(0, top + 1 - i):
-            b = v[j]
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _ser_inv(v, top, zero):
-    inv = [zero] * (top + 1)
-    inv0 = _ring_inv(v[0])
-    inv[0] = inv0
-    for n in range(1, top + 1):
-        s = zero
-        for k in range(1, n + 1):
-            s = s + v[k] * inv[n - k]
-        inv[n] = zero - inv0 * s
-    return inv
-
-
-def _ser_compose(f, g, top, zero):
-    """f(g(z)) truncated; f given by coefficients f[0..deg], g[0] == zero."""
-    acc = [zero] * (top + 1)
-    for fk in reversed(f):
-        acc = _ser_mul(acc, g, top, zero)
-        acc[0] = acc[0] + fk
-    return acc
-
-
-def lagrange_invert(a, terms: int, method: str = "newton"):
-    """Compositional inverse of f(w) = a_1 w + a_2 w^2 + ... .
-
-    Input a = [a_1, a_2, ...] over a commutative ring (context reals or
-    TruncPoly); returns [b_1, ..., b_terms] with f(g(z)) = z for
-    g(z) = sum b_k z^k.
-
-    method "newton" (primary): order-doubling iteration on truncated
-    series.  method "formula": the explicit multi-index sum
-
-        b_k = 1/(k a_1^k) * sum over (l_1, l_2, ...), sum i l_i = k-1,
-              of (-1)^{l_1+l_2+...} [k (k+1) ... (k-1+l_1+l_2+...)]
-              / (l_1! l_2! ...) * (a_2/a_1)^{l_1} (a_3/a_1)^{l_2} ...
-
-    whose combinatorial growth caps it at terms <= 8; kept as an
-    independent verifier for the Newton route.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    if not a:
-        raise ValueError("need at least a_1")
-    if method == "newton":
-        return _lagrange_newton(a, terms)
-    if method == "formula":
-        return _lagrange_formula(a, terms)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _lagrange_newton(a, terms: int):
-    zero = a[0] * 0
-    deg = len(a)
-    f = [zero] + list(a)  # f[k] = a_k
-    fp = [(k + 1) * a[k] for k in range(deg)]  # f'(w) coefficients
-    g = [zero, _ring_inv(a[0])] + [zero] * (terms - 1)
-    iters = max(1, terms - 1).bit_length() + 1
-    for _ in range(iters):
-        fg = _ser_compose(f, g, terms, zero)
-        fg[1] = fg[1] - 1  # subtract z
-        fpg = _ser_compose(fp, g, terms, zero)
-        delta = _ser_mul(fg, _ser_inv(fpg, terms, zero), terms, zero)
-        g = [gi - di for gi, di in zip(g, delta)]
-    return g[1 : terms + 1]
-
-
-def _lagrange_formula(a, terms: int):
-    if terms > 8:
-        raise ValueError("formula route capped at 8 terms")
-    zero = a[0] * 0
-    apad = list(a) + [zero] * max(0, terms - len(a))
-    u = _ring_inv(a[0])
-    # u^e cache up to the largest needed exponent
-    max_e = 2 * terms
-    upow = [None] * (max_e + 1)
-    upow[0] = zero + 1
-    for e in range(1, max_e + 1):
-        upow[e] = upow[e - 1] * u
-    out = []
-    for k in range(1, terms + 1):
-        acc = zero
-        for mult in weighted_partitions(k - 1):
-            big_l = sum(mult)
-            coef = Fraction((-1) ** big_l * rising_product(k, big_l), k)
-            for li in mult:
-                coef /= factorial(li)
-            term = upow[k + big_l]
-            for i, li in enumerate(mult, start=1):
-                if li:
-                    term = term * (apad[i] ** li)
-            acc = acc + term * coef.numerator / coef.denominator
-        out.append(acc)
-    return out
-
-
 # --- saddle curve -> K-series ---
 
 
 @dataclass(frozen=True)
 class SaddleExpansion:
-    """K_1..K_J of rho_n = sum_j K_j n^{-1/q - (j-1) s} for a family with
-    leading z-power q and x-grid spacing s."""
+    """A saddle curve, its monomials (c_i, p_i, q_i) dominant first, and
+    the K_j of rho_n = sum_j K_j n^{-(1 + (j-1) step)/ell}, x = n^{-step/ell},
+    where ell = q_1 = alpha + 1 (the tuple length of an ntuple family)."""
 
-    ell: int
+    curve: tuple
+    step: int
     K: tuple
+
+    @property
+    def ell(self) -> int:
+        return self.curve[0][2]
+
+    @property
+    def expansion_terms(self) -> int:
+        """J, the number of expansion exponents
+        (alpha - (k-1) step)/(alpha + 1) that are >= 0."""
+        return (self.ell - 1) // self.step + 1
 
 
 def curve_saddle_series(monomials, terms: int, ctx: PrecisionContext):
@@ -358,70 +210,33 @@ def curve_saddle_series(monomials, terms: int, ctx: PrecisionContext):
     return [recip.coeff(j) for j in range(terms)]
 
 
+def saddle_series(data, ctx: PrecisionContext) -> SaddleExpansion:
+    """The saddle curve of pole data (see the module docstring) and its
+    first J + 1 terms K_j, J the number of expansion exponents.  One pole
+    leaves x out of the curve; it gets s = alpha + 1, so J = 1."""
+    cs = [dressed_residue(pole, ctx) for pole in data.poles]
+    nus = [int(nu) for nu, _ in data.poles]
+    if nus[-1] < 1 or any(a <= b for a, b in zip(nus, nus[1:])):
+        raise ValueError("poles must decrease and stay >= 1")
+    alpha = nus[0]
+    step = gcd(*(alpha - nu for nu in nus)) or alpha + 1
+    curve = tuple((c, (alpha - nu) // step, nu + 1) for c, nu in zip(cs, nus))
+    K = curve_saddle_series(curve, alpha // step + 2, ctx)
+    return SaddleExpansion(curve, step, tuple(K))
+
+
 def rho_series_three_pole(
     ell: int, terms: int, data, ctx: PrecisionContext
 ) -> SaddleExpansion:
-    """Saddle-point series for a three-pole family (ell >= 4):
-    rho_n = sum_j K_j n^{-j/ell}, from the curve
-    C_1 z^ell + C_2 x z^{ell-1} + C_3 x^2 z^{ell-2} = 1, x = n^{-1/ell}."""
+    """Saddle series of the curve C_1 z^ell + C_2 x z^{ell-1} +
+    C_3 x^2 z^{ell-2} = 1 from data.c1..c3 (ell >= 4); for an ntuple
+    family and terms = ell + 1 this is saddle_series(data, ctx)."""
     if ell < 4:
         raise ValueError("three-pole route requires ell >= 4")
     if data.c1 is None:
         raise ValueError("data lacks saddle coefficients")
-    mon = [
-        (data.c1, 0, ell),
-        (data.c2, 1, ell - 1),
-        (data.c3, 2, ell - 2),
-    ]
-    return SaddleExpansion(ell, tuple(curve_saddle_series(mon, terms, ctx)))
-
-
-def two_pole_K(alpha, beta, c1, c2, terms: int, ctx: PrecisionContext):
-    """Closed-form K_1..K_terms (terms <= 5) for a two-pole saddle
-    equation c_1 rho^{-alpha-1} + c_2 rho^{-beta-1} = n, alpha > beta."""
-    if not 1 <= terms <= 5:
-        raise ValueError("closed forms available for 1..5 terms")
-    al = Fraction(alpha)
-    be = Fraction(beta)
-    if not al > be > 0:
-        raise ValueError("need alpha > beta > 0")
-    a1 = al + 1
-
-    def cpow(e: Fraction):
-        return ctx.power_frac(c1, e)
-
-    def rat(f: Fraction):
-        return ctx.real(f)
-
-    ks = [cpow(Fraction(1) / a1)]
-    ks.append(c2 / (rat(a1) * cpow(be / a1)))
-    p3 = al - 2 * be
-    ks.append(c2**2 * rat(p3 / (2 * a1**2)) / cpow((2 * be + 1) / a1))
-    p4 = 2 * al**2 - 9 * al * be - 2 * al + 9 * be**2 + 3 * be
-    ks.append(c2**3 * rat(p4 / (6 * a1**3)) / cpow((3 * be + 2) / a1))
-    p5 = (
-        6 * al**3
-        - 44 * al**2 * be
-        - 15 * al**2
-        + 96 * al * be**2
-        + 56 * al * be
-        + 6 * al
-        - 64 * be**3
-        - 48 * be**2
-        - 8 * be
-    )
-    ks.append(c2**4 * rat(p5 / (24 * a1**4)) / cpow((4 * be + 3) / a1))
-    return ks[:terms]
-
-
-def two_pole_K_series(alpha: int, beta: int, c1, c2, terms: int, ctx: PrecisionContext):
-    """Same coefficients by the generic curve inversion (integer
-    exponents only): c_1 z^{alpha+1} + c_2 x z^{beta+1} = 1 with
-    x = n^{-(alpha-beta)/(alpha+1)}."""
-    if not (isinstance(alpha, int) and isinstance(beta, int) and alpha > beta >= 1):
-        raise ValueError("integer alpha > beta >= 1 required")
-    mon = [(c1, 0, alpha + 1), (c2, 1, beta + 1)]
-    return curve_saddle_series(mon, terms, ctx)
+    curve = ((data.c1, 0, ell), (data.c2, 1, ell - 1), (data.c3, 2, ell - 2))
+    return SaddleExpansion(curve, 1, tuple(curve_saddle_series(curve, terms, ctx)))
 
 
 # --- numeric saddle point and Phi evaluation (oracle route) ---
@@ -496,6 +311,9 @@ def _exp_weight_sum(
     um = mp.mpf(1)
     m = 0
     check_from = max(16, int(2 * tail_pows[0][0] / float(z)) + 1)
+    # while m z < 1, 1 - u^m cancels about log10(1/(m z)) digits; there
+    # the gap comes from m z directly
+    exact_gap_below = int(mp.ceil(1 / z))
     while True:
         m += 1
         if maj is None and m > finite_len:
@@ -505,10 +323,10 @@ def _exp_weight_sum(
         um = um * u
         fm = table[m]
         if fm:
+            gap = -mp.expm1(-m * z) if m < exact_gap_below else 1 - um
             if mode == "phi":
-                total -= fm * mp.log(1 - um)
+                total -= fm * mp.log(gap)
             else:
-                gap = 1 - um
                 term = m * fm * um / gap
                 total += term
                 if mode == "newton":

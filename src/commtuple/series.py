@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import accumulate
 from math import comb, factorial
 from operator import mul
@@ -211,7 +212,10 @@ def ntuple_sequence(ell: int, n_max: int) -> BigIntSeq:
 
 
 def commuting_tuple_count(ell: int, n: int) -> int:
-    """n! N_ell(n): pairwise-commuting ell-tuples of permutations."""
+    """n! N_ell(n): pairwise-commuting ell-tuples of permutations.
+
+    Each call rebuilds the whole sequence N_ell(0..n); for several n, take
+    the values from one ntuple_sequence(ell, n_max) instead."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return factorial(n) * ntuple_sequence(ell, n)[n]
@@ -299,13 +303,22 @@ def brute_force_commuting(ell: int, n: int) -> int:
 # --- serialization ---
 
 
+def _int_str(v: int) -> str:
+    """str(v), also for values past CPython's limit on the digits of an
+    int-to-str conversion: decimal converts exactly and has no limit."""
+    try:
+        return str(v)
+    except ValueError:
+        return str(Decimal(v))
+
+
 def seq_to_csv(seq: BigIntSeq) -> str:
     lines = ["n,value"]
     for i, v in enumerate(seq.values):
-        lines.append(f"{seq.offset + i},{v}")
+        lines.append(f"{seq.offset + i},{_int_str(v)}")
     return "\n".join(lines) + "\n"
 
 
 def seq_to_json(seq: BigIntSeq) -> str:
     """JSON array of decimal strings (values can exceed double range)."""
-    return json.dumps([str(v) for v in seq.values], separators=(",", ":")) + "\n"
+    return json.dumps([_int_str(v) for v in seq.values], separators=(",", ":")) + "\n"

@@ -2,18 +2,26 @@
 exact-vs-asymptotic comparison utilities."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from commtuple import (
     AsymptoticExpansion,
     BigIntSeq,
+    LSeriesData,
+    PrecisionContext,
     TruncPoly,
     compare_exact_asym,
+    dressed_residue,
     estimate_B1,
     evaluate_expansion,
+    expansion,
     expansion_one_pole,
     expansion_three_pole,
     expansion_two_pole,
@@ -21,7 +29,9 @@ from commtuple import (
     lf_data_power,
     recip_power_coeff,
     rho_series_three_pole,
+    saddle_series,
 )
+from test_saddle import curve_saddle_series_lagrange
 
 TOL = "1e-44"
 
@@ -302,3 +312,110 @@ def test_data_shape_guards(ctx50):
         expansion_three_pole(3, two, ctx50)
     with pytest.raises(ValueError):
         expansion_three_pole(4, two, ctx50)
+
+
+def test_two_pole_past_five_terms(ctx50):
+    # poles (6, 5): seven exponents, past the five closed-form K_j
+    mp = ctx50.mp
+    data = LSeriesData("synthetic", Fraction(6), ((Fraction(6), mp.mpf(1)),
+                       (Fraction(5), mp.mpf(-2))), Fraction(0), mp.mpf(0))
+    exp = expansion_two_pole(data, ctx50)
+    assert [lam for _, lam in exp.terms] == [Fraction(6 - k, 7) for k in range(7)]
+
+
+def test_expansion_rejects_foreign_saddle(ctx50):
+    data = lf_data_ntuple(3, ctx50)
+    other = saddle_series(lf_data_power(1, ctx50), ctx50)
+    with pytest.raises(ValueError):
+        expansion(data, ctx50, other)
+    short = saddle_series(data, ctx50)
+    with pytest.raises(ValueError):
+        expansion(data, ctx50, replace(short, K=short.K[:2]))
+    half = LSeriesData("synthetic", Fraction(5, 2), ((Fraction(5, 2), ctx50.real(1)),),
+                       Fraction(0), ctx50.real(0))
+    with pytest.raises(ValueError):
+        expansion(half, ctx50)
+
+
+@st.composite
+def pole_data(draw):
+    """Synthetic L-series data with 1-3 integer poles, the dominant one at
+    alpha <= 8 with a positive residue.  With two or three poles, the
+    gaps are 1-3 and the expansion has J = alpha // s + 1 > 5 terms
+    (s the gcd of the gaps)."""
+    ctx = PrecisionContext(50)
+    count = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=count - 1, max_size=count - 1))
+    alpha = draw(st.integers(sum(gaps) + 1, 8))
+    nus = [alpha]
+    for g in gaps:
+        nus.append(nus[-1] - g)
+    if count > 1:
+        assume(alpha // gcd(*(alpha - nu for nu in nus)) + 1 > 5)
+    residues = [draw(st.fractions(Fraction(1, 8), 4, max_denominator=64))]
+    residues += [draw(st.fractions(-4, 4, max_denominator=64)) for _ in gaps]
+    poles = tuple((Fraction(nu), ctx.real(w)) for nu, w in zip(nus, residues))
+    return LSeriesData("synthetic", Fraction(alpha), poles, Fraction(0), ctx.real(0))
+
+
+def check_against_oracle_assembly(data):
+    """expansion(data) against K from the Lagrange oracle and A_k from
+    binomial-multinomial sums of its powers:
+    A_k = K_k + sum_i (c_i/nu_i) [x^{k-1-p_i}] R(x)^{-nu_i}."""
+    ctx = PrecisionContext(50)
+    mp = ctx.mp
+    nus = [int(nu) for nu, _ in data.poles]
+    alpha = nus[0]
+    step = gcd(*(alpha - nu for nu in nus)) or alpha + 1
+    cs = [dressed_residue(pole, ctx) for pole in data.poles]
+    ps = [(alpha - nu) // step for nu in nus]
+    J = alpha // step + 1
+    K = curve_saddle_series_lagrange(
+        [(c, p, nu + 1) for c, p, nu in zip(cs, ps, nus)], J + 1, ctx)
+    exp = expansion(data, ctx)
+    assert [lam for _, lam in exp.terms] == [
+        Fraction(alpha - k * step, alpha + 1) for k in range(J)]
+    bound = mp.mpf(10) ** -(ctx.digits - 5)
+    for k, (got, _) in enumerate(exp.terms, start=1):
+        want = K[k - 1]
+        for c, p, nu in zip(cs, ps, nus):
+            want += c / nu * recip_power_coeff(K, Fraction(nu), k - 1 - p, ctx)
+        assert abs(got - want) <= bound * max(1, abs(want)), (k, got, want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(pole_data())
+def test_expansion_matches_oracle_assembly(data):
+    check_against_oracle_assembly(data)
+
+
+def test_expansion_on_even_grid_matches_oracle_assembly(ctx50):
+    # poles (10, 8, 4): grid step s = 2, x = n^{-2/11}, J = 6 terms
+    poles = ((Fraction(10), ctx50.real(1)), (Fraction(8), ctx50.real(-3)),
+             (Fraction(4), ctx50.real("0.5")))
+    data = LSeriesData("synthetic", Fraction(10), poles, Fraction(0), ctx50.real(0))
+    assert len(expansion(data, ctx50).terms) == 6
+    check_against_oracle_assembly(data)
+
+
+_FAMILIES = [("ntuple", ell) for ell in range(2, 11)] + [("power", d) for d in range(5)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_FAMILIES), st.sampled_from([50, 64, 80]))
+def test_precision_doubling_reproduces_constants(family, digits):
+    # the constants at 2D digits agree with those at D to D digits
+    kind, param = family
+    runs = []
+    for ctx in (PrecisionContext(digits), PrecisionContext(2 * digits)):
+        data = (lf_data_ntuple if kind == "ntuple" else lf_data_power)(param, ctx)
+        runs.append(expansion(data, ctx))
+    short, long = runs
+    assert short.b == long.b
+    assert [lam for _, lam in short.terms] == [lam for _, lam in long.terms]
+    mp = PrecisionContext(2 * digits).mp
+    bound = mp.mpf(10) ** -digits
+    values = zip([short.C] + [a for a, _ in short.terms],
+                 [long.C] + [a for a, _ in long.terms])
+    for x, y in values:
+        assert abs(mp.mpf(x) - y) <= bound * abs(y)

@@ -5,6 +5,8 @@ import json
 import os
 import stat
 import threading
+from decimal import Decimal
+from math import comb
 
 import mpmath
 import pytest
@@ -329,3 +331,43 @@ def test_logconvex_matches_scaled_scan(capsys, ell, max_n, fmt):
     assert rc == 0
     scaled = factorial_scaled(ntuple_sequence(ell, max_n + 1))
     assert out == _scan_output(log_convexity_scan(scaled, 2, max_n), fmt)
+
+
+def test_seq_values_past_str_digit_limit(tmp_path, capsys):
+    # f(1) = 10^100, f(n) = 0 for n > 1 gives p(n) = binom(10^100 + n - 1, n), which has
+    # about 4940 digits at n = 50, past CPython's 4300-digit int/str limit
+    path = tmp_path / "weights.csv"
+    path.write_text(f"1,1{'0' * 100}\n" + "".join(f"{n},0\n" for n in range(2, 51)),
+                    encoding="utf-8")
+    want = comb(10**100 + 49, 50)
+    assert len(str(Decimal(want))) > 4300
+    rc, out, err = run(capsys, "seq", "--family", "table-file", "--table",
+                       str(path), "--max-n", "50")
+    assert (rc, err.count("error")) == (0, 0)
+    last = out.splitlines()[-1]
+    assert last.startswith("50,") and int(Decimal(last[3:])) == want
+    rc, out, _ = run(capsys, "seq", "--family", "table-file", "--table",
+                     str(path), "--max-n", "50", "--format", "json")
+    assert rc == 0 and int(Decimal(json.loads(out)[-1])) == want
+    # narrower values print as before
+    rc, out, _ = run(capsys, "seq", "--family", "table-file", "--table",
+                     str(path), "--max-n", "3")
+    assert out.splitlines()[-1] == f"3,{comb(10**100 + 2, 3)}"
+
+
+def test_table_row_past_str_digit_limit(tmp_path, capsys):
+    big = 7 * 10**4400 + 3  # 4401 digits
+    digits = str(Decimal(big))
+    path = tmp_path / "weights.csv"
+    path.write_text(f"n,value\n1, {digits}\n2,0\n", encoding="utf-8")
+    rc, out, err = run(capsys, "seq", "--family", "table-file", "--table",
+                       str(path), "--max-n", "2")
+    assert (rc, err.count("error")) == (0, 0)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[0] == ["0", "1"] and rows[1] == ["1", digits]
+    assert int(Decimal(rows[2][1])) == big * (big + 1) // 2
+    # a literal that int() rejects for its syntax stays a bad row
+    path.write_text(f"1,{digits}e0\n2,0\n", encoding="utf-8")
+    rc, _, err = run(capsys, "seq", "--family", "table-file", "--table",
+                     str(path), "--max-n", "2")
+    assert rc == 1 and "bad table row" in err

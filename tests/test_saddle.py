@@ -29,7 +29,7 @@ from commtuple import (
     two_pole_K_series,
     weighted_partitions,
 )
-from commtuple.saddle import rising_product
+from commtuple.oracles import rising_product
 
 
 def curve_saddle_series_lagrange(monomials, terms, ctx):
@@ -405,3 +405,15 @@ def test_rho_numeric_solves_saddle_equation(spec, n):
     assert rho > 0
     residual = -phi_deriv_eval(spec, rho, ctx) - n
     assert abs(residual) <= ctx.mp.mpf(10) ** -ctx.digits * n
+
+
+@pytest.mark.parametrize("n, want", [
+    (10**5, "0.0000099999500003333308333533331666680952255953492053492"),
+    (10**7, "0.00000009999999500000033333330833333533333316666668095238"),
+])
+def test_rho_numeric_small_root(ctx50, n, want):
+    # one weight at m = 1: -Phi'(z) = 1/(e^z - 1) = n at z = log(1 + 1/n);
+    # a root this small needs 1 - e^{-z} without cancellation
+    rho = rho_numeric(TableExponent((1,)), n, ctx50)
+    assert ctx50.mp.nstr(rho, 50) == want
+    assert abs(rho - ctx50.mp.log1p(ctx50.mp.mpf(1) / n)) < ctx50.mp.mpf(10) ** -58 * rho
