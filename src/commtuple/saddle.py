@@ -18,8 +18,9 @@ All coefficient arithmetic is dense polynomial-in-x truncated at a
 single internal order (J + 2 for J requested terms).  oracles.py holds
 the Lagrange-inversion route that checks it.
 
-rho_numeric solves the untruncated saddle equation by summation with
-certified tail bounds and serves as the oracle for the series route.
+rho_numeric solves the untruncated saddle equation by fixed-point
+summation with a proved rounding bound and a certified tail cutoff, and
+serves as the oracle for the series route.
 """
 
 from __future__ import annotations
@@ -266,6 +267,67 @@ def _majorant(spec: ExponentSpec):
     raise TypeError(f"unknown exponent spec {spec!r}")
 
 
+_MAX_TERMS = 10**7
+
+
+def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int:
+    """The number M of terms _exp_weight_sum adds: the length of a finite
+    table, otherwise the first m >= check_from at which the certified
+    bound on every tail past m is below ctx.eps_target().
+
+    With the majorant f(m) <= A m^D, the terms of a sum are at most
+    A m^w u^m (1 - u)^{-k}, u = e^{-z}, where (w, k) is (D + 1, 1) for
+    -Phi' (D, 1 for Phi) and (D + 2, 2) for Phi''.  Their ratios past m
+    are at most uhat = e^{w/m} u, so once uhat < 1 the tail past m is at
+    most A (m+1)^w u^{m+1} / (1 - uhat) (1 - u)^{-k}.  From check_from on
+    that bound falls with m: (m+1)^w u^{m+1} falls once m + 1 > w/z,
+    e^{w/m} u falls with m, and check_from >= 2w/z.  So the test passes
+    on a final segment of m, and its first m is found by doubling from
+    check_from and then bisection, with u^m from mp.power.  Raises
+    ArithmeticError if M would exceed _MAX_TERMS, before any weight is
+    computed.
+    """
+    maj = _majorant(spec)
+    if maj is None:
+        if len(spec.values) > _MAX_TERMS:
+            raise ArithmeticError("weight sum failed to converge")
+        return len(spec.values)
+    mp = ctx.mp
+    u = mp.exp(-z)
+    target = ctx.eps_target()
+    inv_gap = 1 / (1 - u)
+    w_pow = maj[1] + (0 if mode == "phi" else 1)
+    # the second sum of mode "newton", checked first as the slower to
+    # converge, has one more power of m and of 1/(1 - u)
+    tail_pows = ((w_pow + 1, 2), (w_pow, 1)) if mode == "newton" else ((w_pow, 1),)
+
+    def passes(m):
+        um = mp.power(u, m)
+        for w, k in tail_pows:
+            uhat = mp.exp(mp.mpf(w) / m) * u
+            if not uhat < 1:
+                return False
+            tail = maj[0] * mp.mpf(m + 1) ** w * um * u / (1 - uhat) * inv_gap**k
+            if not tail < target:
+                return False
+        return True
+
+    check_from = max(16, int(2 * tail_pows[0][0] / float(z)) + 1)
+    # every m in [check_from, lo] fails the test, hi passes
+    lo, hi = check_from - 1, check_from
+    while hi > _MAX_TERMS or not passes(hi):
+        if hi >= _MAX_TERMS:
+            raise ArithmeticError("weight sum failed to converge")
+        lo, hi = hi, min(2 * hi, _MAX_TERMS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _exp_weight_sum(
     spec: ExponentSpec, z, ctx: PrecisionContext, mode: str, table: list | None = None
 ):
@@ -276,13 +338,39 @@ def _exp_weight_sum(
         mode "newton": the pair (-Phi', Phi''), with
                        Phi'' = sum_m m^2 f(m) u^m / (1 - u^m)^2,
 
-    with u = e^{-z}.  The tail past M is bounded through the polynomial
-    majorant A m^D: term ratios are <= exp(w/M) u with w the effective
-    power, giving a geometric envelope once exp(w/M) u < 1.  Mode
-    "newton" stops only once both tails are below the target.
+    with u = e^{-z}.  Before the sum runs, _tail_cutoff finds the number
+    M of terms whose tail is certified below eps = ctx.eps_target(): past
+    its check_from the certified tail bound falls with m, so the first m
+    that passes is found by doubling and bisection, not by testing every
+    term.  Terms 1..M are then added in fixed point, as Python ints
+    scaled by 2^P, with no mpf arithmetic per term beyond the gaps of
+    m < 1/z and mode "phi"'s log.
 
-    table holds the weights (0, f(1), ...) and is extended in place as
-    the sum runs; passing the same list to several calls for one spec
+    Error budget, in ulps of 2^-P (f >= 0, F = max f(m) over m <= M):
+    - U, the image of u computed at P + 32 bits and truncated, is off by
+      less than 1 + 2^-31.  U_m = U_{m-1} U >> P: as both factors are at
+      most 1, the product is off by less than 1 + 2^-31 + e_{m-1}, and
+      the shift adds less than 1, so U_m is off by e_m < 3m.
+    - The gap g_m = 1 - u^m is 2^P - U_m, off by less than 3m; while
+      m < ceil(1/z) it is the image of -expm1(-mz) at P + 32 bits
+      instead, off by less than 2.  Gaps grow with m, so g_m >= g_1.
+    - P below makes 6 M 2^-P <= g_1, so a computed gap g' lies in
+      [g/2, 3g/2].  With v = u^m <= 1 off by less than 3m:
+        m f v / g       is off by m f (6m/g + 6m/g^2) <= 12 m^2 f / g^2,
+        m^2 f v / g^2   by m^2 f (12m/g^2 + 36m/g^3) <= 48 m^3 f / g^3,
+      plus 1 for the floor division that forms each, and
+        -f log g        by f (6m/g + 2): the log of the exact g' at
+                        P + 32 bits errs by |log g'| 2^-31 < 1 (as
+                        |log g'| < P), and truncating it adds 1.
+    - With sum_{m <= M} m^k <= M^{k+1}, every sum is off by less than
+      C = 48 F M^4 / g_1^3 + 2M.  P = bit_length(C) + 1 - e, with
+      eps >= 2^(e-1), gives C 2^-P < eps, and with it 6 M 2^-P <= g_1.
+    So each returned sum is within eps of the sum of its first M terms,
+    which is within eps of the whole sum, before the one rounding to
+    the working precision.  Mode "newton" certifies both sums.
+
+    table holds the weights (0, f(1), ...) and is extended in place to
+    index M; passing the same list to several calls for one spec
     reuses it.
     """
     if mode not in ("phi", "dphi", "newton"):
@@ -293,57 +381,37 @@ def _exp_weight_sum(
         raise ValueError("z must be positive")
     if table is None:
         table = []
-    u = mp.exp(-z)
-    target = ctx.eps_target()
-    maj = _majorant(spec)
-    if maj is None:
-        w_pow = 0
-        finite_len = len(spec.values)
-    else:
-        w_pow = maj[1] + (0 if mode == "phi" else 1)
-    # (w, k) per sum: terms <= A m^w u^m (1 - u)^{-k}; the second sum of
-    # mode "newton", checked first as the slower to converge, has one
-    # more power of m and of 1/(1 - u)
-    tail_pows = ((w_pow + 1, 2), (w_pow, 1)) if mode == "newton" else ((w_pow, 1),)
-    inv_gap = 1 / (1 - u)
-    total = mp.mpf(0)
-    total2 = mp.mpf(0)
-    um = mp.mpf(1)
-    m = 0
-    check_from = max(16, int(2 * tail_pows[0][0] / float(z)) + 1)
-    # while m z < 1, 1 - u^m cancels about log10(1/(m z)) digits; there
-    # the gap comes from m z directly
+    M = _tail_cutoff(spec, z, ctx, mode)
+    if M >= len(table):
+        _grow_weights(spec, table, M)
+    F = max(table[1 : M + 1], default=0)
+    inv_g1 = int(-1 / mp.expm1(-z)) + 2  # above 1/g_1
+    bound = 48 * max(F, 1) * M**4 * inv_g1**3 + 2 * M
+    P = bound.bit_length() + 1 - mp.frexp(ctx.eps_target())[1]
     exact_gap_below = int(mp.ceil(1 / z))
-    while True:
-        m += 1
-        if maj is None and m > finite_len:
-            break
-        if m >= len(table):
-            _grow_weights(spec, table, m)
-        um = um * u
-        fm = table[m]
-        if fm:
-            gap = -mp.expm1(-m * z) if m < exact_gap_below else 1 - um
+    one = 1 << P
+    total = total2 = 0
+    with mp.workprec(P + 32):
+        U = int(mp.ldexp(mp.exp(-z), P))
+        um = one
+        for m in range(1, M + 1):
+            um = um * U >> P
+            fm = table[m]
+            if not fm:
+                continue
+            if m < exact_gap_below:
+                gap = int(mp.ldexp(-mp.expm1(-m * z), P))
+            else:
+                gap = one - um
             if mode == "phi":
-                total -= fm * mp.log(gap)
-            else:
-                term = m * fm * um / gap
-                total += term
-                if mode == "newton":
-                    total2 += m * term / gap
-        if maj is not None and m >= check_from:
-            for w, k in tail_pows:
-                uhat = mp.exp(mp.mpf(w) / m) * u
-                if not uhat < 1:
-                    break
-                tail = maj[0] * mp.mpf(m + 1) ** w * um * u / (1 - uhat) * inv_gap**k
-                if not tail < target:
-                    break
-            else:
-                break
-        if m > 10**7:
-            raise ArithmeticError("weight sum failed to converge")
-    return (total, total2) if mode == "newton" else total
+                total -= fm * int(mp.ldexp(mp.log(mp.ldexp(gap, -P)), P))
+                continue
+            num = m * fm * um
+            total += (num << P) // gap
+            if mode == "newton":
+                total2 += (m * num << 2 * P) // (gap * gap)
+    total = mp.ldexp(total, -P)
+    return (total, mp.ldexp(total2, -P)) if mode == "newton" else total
 
 
 def phi_eval(spec: ExponentSpec, z, ctx: PrecisionContext):

@@ -29,3 +29,57 @@ def test_no_production_module_imports_oracles():
         if any(name.split(".")[-1] == "oracles" for name in _imported_modules(tree)):
             offenders.append(path.name)
     assert offenders == []
+
+
+ORACLE_FREE_ROOTS = ("rho_numeric", "_exp_weight_sum")
+SERIES_MODULES = {"lfunction", "asymptotics", "oracles"}
+
+
+def _from_series(dotted):
+    return not SERIES_MODULES.isdisjoint(dotted.split("."))
+
+
+def _series_references(source, roots):
+    """Names from SERIES_MODULES that the module-level functions roots,
+    or any module-level function they reach by name, refer to."""
+    tree = ast.parse(source)
+    origin = {}  # name bound by a module-level import -> where it comes from
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                origin[alias.asname or alias.name] = f"{node.module or ''}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                origin[alias.asname or alias.name.split(".")[0]] = alias.name
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert set(roots) <= set(functions)
+    found, seen, todo = set(), set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                if node.id in functions:
+                    todo.append(node.id)
+                elif _from_series(origin.get(node.id, "")):
+                    found.add(f"{name}: {node.id}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if any(map(_from_series, _imported_modules(node))):
+                    found.add(f"{name}: import")
+    return found
+
+
+def test_numeric_saddle_stays_off_the_series_route():
+    # rho_numeric is the oracle of the K-series route: it must not use
+    # pole data, Laurent series or the oracles it checks
+    source = (PACKAGE / "saddle.py").read_text(encoding="utf-8")
+    assert _series_references(source, ORACLE_FREE_ROOTS) == set()
+    # the check sees a reference two calls away
+    bad = ("from .lfunction import dressed_residue\n"
+           "def rho_numeric():\n    return _helper()\n"
+           "def _helper():\n    return dressed_residue\n")
+    assert _series_references(bad, ("rho_numeric",)) == {"_helper: dressed_residue"}
+    inline = "def rho_numeric():\n    from . import asymptotics\n"
+    assert _series_references(inline, ("rho_numeric",)) == {"rho_numeric: import"}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from commtuple import (
     LSeriesData,
+    PolygonalIndicator,
     Power,
     PrecisionContext,
     SubgroupCount,
@@ -18,9 +19,11 @@ from commtuple import (
     TruncPoly,
     curve_saddle_series,
     dressed_residue,
+    evaluate_exponent,
     lagrange_invert,
     lf_data_ntuple,
     multinomial,
+    ntuple_exponent,
     phi_deriv_eval,
     phi_eval,
     rho_numeric,
@@ -29,6 +32,7 @@ from commtuple import (
     two_pole_K_series,
     weighted_partitions,
 )
+from commtuple import saddle
 from commtuple.oracles import rising_product
 
 
@@ -60,6 +64,82 @@ def curve_saddle_series_lagrange(monomials, terms, ctx):
         w = w + b[k - 1] * pw
     recip = (w + z0).inverse()
     return [recip.coeff(j) for j in range(terms)]
+
+
+def _reference_tail(spec, z, ctx, mode):
+    """The tail test of exp_weight_sum_reference, or None for a finite
+    table: check_from, and a test of (m, u^m) that holds once every
+    certified tail bound past m is below ctx.eps_target()."""
+    maj = saddle._majorant(spec)
+    if maj is None:
+        return None
+    mp = ctx.mp
+    u = mp.exp(-z)
+    target = ctx.eps_target()
+    inv_gap = 1 / (1 - u)
+    w_pow = maj[1] + (0 if mode == "phi" else 1)
+    tail_pows = ((w_pow + 1, 2), (w_pow, 1)) if mode == "newton" else ((w_pow, 1),)
+
+    def passes(m, um):
+        for w, k in tail_pows:
+            uhat = mp.exp(mp.mpf(w) / m) * u
+            if not uhat < 1:
+                return False
+            tail = maj[0] * mp.mpf(m + 1) ** w * um * u / (1 - uhat) * inv_gap**k
+            if not tail < target:
+                return False
+        return True
+
+    return max(16, int(2 * tail_pows[0][0] / float(z)) + 1), passes
+
+
+def exp_weight_sum_reference(spec, z, ctx, mode):
+    """Oracle for saddle._exp_weight_sum: the same sums, one term at a
+    time in mpf, with the gap from -expm1(-mz) while m < ceil(1/z), and
+    the tail test on every term from check_from on."""
+    mp = ctx.mp
+    z = ctx.real(z)
+    u = mp.exp(-z)
+    tail = _reference_tail(spec, z, ctx, mode)
+    exact_gap_below = int(mp.ceil(1 / z))
+    table = [0]
+    total = total2 = mp.mpf(0)
+    um = mp.mpf(1)
+    m = 0
+    while tail is not None or m < len(spec.values):
+        m += 1
+        if m >= len(table):
+            size = 2 * m if tail is not None else len(spec.values)
+            table = evaluate_exponent(spec, size)
+        um = um * u
+        fm = table[m]
+        if fm:
+            gap = -mp.expm1(-m * z) if m < exact_gap_below else 1 - um
+            if mode == "phi":
+                total -= fm * mp.log(gap)
+            else:
+                term = m * fm * um / gap
+                total += term
+                if mode == "newton":
+                    total2 += m * term / gap
+        if tail is not None and m >= tail[0] and tail[1](m, um):
+            break
+    return (total, total2) if mode == "newton" else total
+
+
+def tail_cutoff_reference(spec, z, ctx, mode):
+    """The first m >= check_from at which the per-term tail test of
+    exp_weight_sum_reference passes, by a linear scan."""
+    check_from, passes = _reference_tail(spec, z, ctx, mode)
+    u = ctx.mp.exp(-z)
+    um = ctx.mp.mpf(1)
+    for _ in range(check_from):
+        um = um * u
+    m = check_from
+    while not passes(m, um):
+        m += 1
+        um = um * u
+    return m
 
 
 def compose(outer, inner, order):
@@ -405,6 +485,90 @@ def test_rho_numeric_solves_saddle_equation(spec, n):
     assert rho > 0
     residual = -phi_deriv_eval(spec, rho, ctx) - n
     assert abs(residual) <= ctx.mp.mpf(10) ** -ctx.digits * n
+
+
+@pytest.mark.parametrize("ell, n, want, passes", [
+    (4, 10**3, "0.33228454374170656154479124994631474476904942529909", 7),
+    (4, 10**4, "0.18792226622457854317504841244316034698873662801038", 7),
+    (2, 10**2, "0.12580504750128083263508693621838052318548553902148", 8),
+])
+def test_rho_numeric_benchmark_points(ctx50, monkeypatch, ell, n, want, passes):
+    # the analytic benchmark's solves: the root and the number of
+    # weight-sum passes it takes
+    calls = []
+    weight_sum = saddle._exp_weight_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return weight_sum(*args, **kwargs)
+
+    monkeypatch.setattr(saddle, "_exp_weight_sum", counted)
+    rho = rho_numeric(ntuple_exponent(ell, 8), n, ctx50)
+    assert ctx50.mp.nstr(rho, 50) == want
+    assert len(calls) == passes
+
+
+@st.composite
+def weight_sum_cases(draw):
+    """A weight, log-uniform z and a mode.  Finite tables, with zeros, go
+    down to z = 1e-3, where every term takes its gap from expm1; infinite
+    weights stop at 1e-2, because the per-term reference needs about
+    2e5 mpf terms (10-17 s) at 1e-3."""
+    spec = draw(st.one_of(
+        st.builds(Power, st.integers(0, 3)),
+        st.builds(SubgroupCount, st.integers(1, 3)),
+        st.builds(TableExponent, st.lists(
+            st.one_of(st.just(0), st.integers(1, 10**6)), min_size=1, max_size=40)),
+    ))
+    low = -3 if isinstance(spec, TableExponent) else -2
+    z = 10 ** draw(st.floats(low, 0.6))
+    return spec, z, draw(st.sampled_from(["phi", "dphi", "newton"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_sum_cases())
+def test_weight_sum_matches_reference(case):
+    spec, z, mode = case
+    ctx = PrecisionContext(50)
+    mp = ctx.mp
+    got = saddle._exp_weight_sum(spec, z, ctx, mode)
+    # 64 more bits leave the reference's own rounding far below the bound
+    with mp.workprec(mp.prec + 64):
+        want = exp_weight_sum_reference(spec, z, ctx, mode)
+    if mode != "newton":
+        got, want = (got,), (want,)
+    eps = ctx.eps_target()
+    for x, y in zip(got, want):
+        # both stop at the same m; what remains is the fixed-point error
+        # (< eps) and one rounding to the working precision
+        assert abs(x - y) <= eps * (1 + abs(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.builds(Power, st.integers(0, 8)),
+              st.builds(SubgroupCount, st.integers(1, 5)),
+              st.builds(PolygonalIndicator, st.integers(3, 6))),
+    st.floats(-2, 1),
+    st.sampled_from(["phi", "dphi", "newton"]),
+)
+def test_tail_cutoff_matches_linear_scan(spec, log_z, mode):
+    ctx = PrecisionContext(50)
+    z = ctx.real(10**log_z)
+    assert saddle._tail_cutoff(spec, z, ctx, mode) == tail_cutoff_reference(
+        spec, z, ctx, mode)
+
+
+@pytest.mark.parametrize("mode", ["phi", "dphi", "newton"])
+def test_hopeless_weight_sum_fails_before_any_weight(monkeypatch, mode):
+    # at z = 1e-6 the tail falls below 1e-60 only past m = 10^8
+    def refuse(spec, table, upto):
+        raise AssertionError(f"weight table grown to {upto}")
+
+    monkeypatch.setattr(saddle, "_grow_weights", refuse)
+    ctx = PrecisionContext(50)
+    with pytest.raises(ArithmeticError, match="weight sum failed to converge"):
+        saddle._exp_weight_sum(Power(0), ctx.mp.mpf("1e-6"), ctx, mode)
 
 
 @pytest.mark.parametrize("n, want", [
