@@ -343,17 +343,17 @@ def _exp_weight_sum(
     its check_from the certified tail bound falls with m, so the first m
     that passes is found by doubling and bisection, not by testing every
     term.  Terms 1..M are then added in fixed point, as Python ints
-    scaled by 2^P, with no mpf arithmetic per term beyond the gaps of
-    m < 1/z and mode "phi"'s log.
+    scaled by 2^P, with no mpf arithmetic per term beyond mode "phi"'s
+    log.
 
     Error budget, in ulps of 2^-P (f >= 0, F = max f(m) over m <= M):
     - U, the image of u computed at P + 32 bits and truncated, is off by
       less than 1 + 2^-31.  U_m = U_{m-1} U >> P: as both factors are at
       most 1, the product is off by less than 1 + 2^-31 + e_{m-1}, and
       the shift adds less than 1, so U_m is off by e_m < 3m.
-    - The gap g_m = 1 - u^m is 2^P - U_m, off by less than 3m; while
-      m < ceil(1/z) it is the image of -expm1(-mz) at P + 32 bits
-      instead, off by less than 2.  Gaps grow with m, so g_m >= g_1.
+    - The gap g_m = 1 - u^m is 2^P - U_m, off by less than 3m.  Gaps
+      grow with m, so g_m >= g_1 = 1 - u, and as P grows with 1/g_1 a
+      small z loses no accuracy to the cancellation in 1 - u^m.
     - P below makes 6 M 2^-P <= g_1, so a computed gap g' lies in
       [g/2, 3g/2].  With v = u^m <= 1 off by less than 3m:
         m f v / g       is off by m f (6m/g + 6m/g^2) <= 12 m^2 f / g^2,
@@ -388,7 +388,6 @@ def _exp_weight_sum(
     inv_g1 = int(-1 / mp.expm1(-z)) + 2  # above 1/g_1
     bound = 48 * max(F, 1) * M**4 * inv_g1**3 + 2 * M
     P = bound.bit_length() + 1 - mp.frexp(ctx.eps_target())[1]
-    exact_gap_below = int(mp.ceil(1 / z))
     one = 1 << P
     total = total2 = 0
     with mp.workprec(P + 32):
@@ -399,10 +398,7 @@ def _exp_weight_sum(
             fm = table[m]
             if not fm:
                 continue
-            if m < exact_gap_below:
-                gap = int(mp.ldexp(-mp.expm1(-m * z), P))
-            else:
-                gap = one - um
+            gap = one - um
             if mode == "phi":
                 total -= fm * int(mp.ldexp(mp.log(mp.ldexp(gap, -P)), P))
                 continue

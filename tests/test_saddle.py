@@ -511,7 +511,8 @@ def test_rho_numeric_benchmark_points(ctx50, monkeypatch, ell, n, want, passes):
 @st.composite
 def weight_sum_cases(draw):
     """A weight, log-uniform z and a mode.  Finite tables, with zeros, go
-    down to z = 1e-3, where every term takes its gap from expm1; infinite
+    down to z = 1e-3, where the fixed-point gaps 2^P - U_m cancel most
+    of their bits and the reference takes every gap from expm1; infinite
     weights stop at 1e-2, because the per-term reference needs about
     2e5 mpf terms (10-17 s) at 1e-3."""
     spec = draw(st.one_of(
