@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import expm1, gcd, log
 
 from .arith import (
     ExponentSpec,
@@ -282,8 +282,10 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
     most A (m+1)^w u^{m+1} / (1 - uhat) (1 - u)^{-k}.  From check_from on
     that bound falls with m: (m+1)^w u^{m+1} falls once m + 1 > w/z,
     e^{w/m} u falls with m, and check_from >= 2w/z.  So the test passes
-    on a final segment of m, and its first m is found by doubling from
-    check_from and then bisection, with u^m from mp.power.  Raises
+    on a final segment of m.  The same bound in floats, searched by
+    doubling from check_from and then bisection, gives an estimate; the
+    certified test (u^m from mp.power) confirms it at M and M - 1, or,
+    if the estimate misses, runs the same search from it.  Raises
     ArithmeticError if M would exceed _MAX_TERMS, before any weight is
     computed.
     """
@@ -312,16 +314,49 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
                 return False
         return True
 
-    check_from = max(16, int(2 * tail_pows[0][0] / float(z)) + 1)
-    # every m in [check_from, lo] fails the test, hi passes
+    z_f = float(z)
+    log_a = log(maj[0])
+    log_inv_gap = -log(-expm1(-z_f))
+    log_target = float(mp.log(target))
+
+    def passes_float(m):
+        for w, k in tail_pows:
+            x = w / m - z_f
+            if x >= 0:
+                return False
+            log_tail = log_a + w * log(m + 1) - z_f * (m + 1) - log(-expm1(x))
+            if not log_tail + k * log_inv_gap < log_target:
+                return False
+        return True
+
+    check_from = max(16, int(2 * tail_pows[0][0] / z_f) + 1)
     lo, hi = check_from - 1, check_from
-    while hi > _MAX_TERMS or not passes(hi):
+    est = _first_passing(passes_float, lo, hi)
+    if est is not None:
+        if not passes(est):
+            lo, hi = est, min(2 * est, _MAX_TERMS)
+        elif est == check_from or not passes(est - 1):
+            return est
+        else:
+            hi = est - 1
+    found = _first_passing(passes, lo, hi)
+    if found is None:
+        raise ArithmeticError("weight sum failed to converge")
+    return found
+
+
+def _first_passing(test, lo: int, hi: int) -> int | None:
+    """The first m > lo at which test passes, for a test that fails at
+    every m in [check_from, lo] and passes on a final segment of m:
+    doubling from hi, then bisection.  None if that m is past
+    _MAX_TERMS."""
+    while hi > _MAX_TERMS or not test(hi):
         if hi >= _MAX_TERMS:
-            raise ArithmeticError("weight sum failed to converge")
+            return None
         lo, hi = hi, min(2 * hi, _MAX_TERMS)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if passes(mid):
+        if test(mid):
             hi = mid
         else:
             lo = mid

@@ -6,18 +6,20 @@ Taking the logarithmic derivative of G gives
 with p(0) = 1, and every division by n is exact; the divmod check in
 the kernel doubles as an integrality witness for each computed row.
 This recurrence is the hot path of the whole package.  The kernel
-`_run_kernel` finishes blocks of rows at a time: the part of each row
-that depends on rows before the block is summed for the whole block at
-once, in fixed-width slots of one big integer, and the rest row by row.
-`_expand_py.expand_kernel` is the plain row-by-row oracle.
+`_run_kernel` solves the rows by divide and conquer: the share of a
+solved left half in every row of the right half is one product of two
+polynomials, which it forms by Kronecker substitution in stdlib
+`decimal` (libmpdec multiplies large operands by number-theoretic
+transform, where Python `int` has only Karatsuba), and short row
+ranges are finished by dot products.  `_expand_py.expand_kernel` is
+the plain row-by-row oracle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import Decimal
-from itertools import accumulate
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from math import comb, factorial
 from operator import mul
 
@@ -28,12 +30,6 @@ from .arith import (
     evaluate_exponent,
     family_label,
 )
-
-# rows finished per packed pass, and the widest slot (bits) at which a
-# packed pass still beats one dot product per row
-_BLOCK = 128
-_PACK_MAX_BITS = 1024
-
 
 @dataclass(frozen=True)
 class BigIntSeq:
@@ -72,63 +68,155 @@ def weighted_divisor_table(f_table: list[int]) -> list[int]:
     return c
 
 
-def _packed_past(c: list[int], p: list[int], a: int, m: int, s8: int) -> list[int]:
-    """sum_{k>j} c(k) p(a+j-k) for j = 0..m-1: the part of rows a..a+m-1
-    that depends only on the known rows p(0..a-1).
+def _pack(xs: list[Decimal], width: int) -> Decimal:
+    """sum_j xs[j] 10^(width j), each xs[j] < 10^width: pairs of
+    neighbours are joined level by level, so each level costs one pass
+    over the digits.  This and _split are exact under _run_kernel's
+    decimal context."""
+    while len(xs) > 1:
+        joined = [lo + hi.scaleb(width) for lo, hi in zip(xs[::2], xs[1::2])]
+        if len(xs) % 2:
+            joined.append(xs[-1])
+        xs = joined
+        width *= 2
+    return xs[0]
 
-    Slot j of the window w_k holds p(a+j-k), zero where that row is not
-    known, so one pass over k adds c(k) w_k to every row at once.  The
-    caller picks the slot width 8*s8 so that no slot sum reaches the
-    next slot, which needs c >= 0.
-    """
-    width = 8 * s8
-    mask = (1 << (m * width)) - 1
-    acc = w = 0
-    for ck, pk in zip(c[1 : a + m], p[a - 1 :: -1] + [0] * (m - 1)):
-        w = ((w << width) & mask) | pk
-        if ck:
-            acc += ck * w
-    raw = acc.to_bytes(m * s8, "little")
-    return [int.from_bytes(raw[i : i + s8], "little") for i in range(0, m * s8, s8)]
+
+def _split(d: Decimal, k: int) -> tuple[Decimal, Decimal]:
+    """(d mod 10^k, d // 10^k) for an integral d >= 0."""
+    hi = d.shift(-k)
+    return d - hi.scaleb(k), hi
+
+
+def _unpack(d: Decimal, count: int, width: int, out: list[Decimal]) -> None:
+    """Append the base-10^width digits 0..count-1 of d to out; the last
+    one takes everything above."""
+    if count == 1:
+        out.append(d)
+        return
+    half = count // 2
+    lo, hi = _split(d, half * width)
+    _unpack(lo, half, width, out)
+    _unpack(hi, count - half, width, out)
+
+
+def _middle_product(xs: list[Decimal], ys: list[Decimal], count: int) -> list[Decimal]:
+    """Coefficients len(xs) - 1 .. len(xs) - 2 + count of the product of
+    the polynomials with coefficients xs and ys (lowest first, all >= 0),
+    by Kronecker substitution.  A coefficient is a sum of at most len(xs)
+    products, so it stays below 10^width with width the digits of the
+    largest x, the largest y and len(xs) together; one digit more is
+    kept spare."""
+    width = (
+        max(x.adjusted() for x in xs)
+        + max(ys).adjusted()
+        + len(str(len(xs)))
+        + 3
+    )
+    prod = _pack(xs, width) * _pack(ys, width)
+    prod = _split(prod, (len(xs) - 1) * width)[1]
+    prod = _split(prod, count * width)[0]
+    out: list[Decimal] = []
+    _unpack(prod, count, width, out)
+    return out
+
+
+def _exact_context() -> Context:
+    """A decimal context in which the kernel's operations are exact."""
+    return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _dec_int(d: Decimal) -> int:
+    """int(d) for an integral d, through its digit string while
+    CPython's int/str digit limit allows: about three times faster than
+    int(d) at a few thousand digits."""
+    try:
+        return int(str(d))
+    except ValueError:
+        return int(d)
+
+
+# rows a leaf finishes one dot product each; fewest rows in a left half
+# for which a cross term is a Kronecker product; most left rows packed
+# into one product, which bounds its memory
+_LEAF = 128
+_CROSSOVER = 96
+_CHUNK = 512
+
+
+class _Expansion:
+    """State of one _run_kernel call.  Row n's share of the rows solved
+    so far waits in acc[n] (dot products) and dacc[n] (Kronecker
+    products) until its leaf is solved.  The recursion lives in methods,
+    not nested functions: a recursive closure is a reference cycle,
+    which would keep these tables alive until the cyclic collector ran."""
+
+    def __init__(self, c: list[int], n_max: int) -> None:
+        self.c = c
+        self.p = [1] + [0] * n_max
+        self.acc = [0] * (n_max + 1)
+        self.dacc = [Decimal(0)] * (n_max + 1)
+        self.packable = min(c[1 : n_max + 1], default=0) >= 0
+        if self.packable:
+            self.dp = [Decimal(1)] + [None] * n_max
+            self.dc = [Decimal(v) for v in c[: n_max + 1]]
+
+    def solve(self, l: int, r: int) -> None:
+        if r - l > _LEAF:
+            mid = (l + r) // 2
+            self.solve(l, mid)
+            self.cross(l, mid, r)
+            self.solve(mid, r)
+            return
+        c, p, acc, dacc = self.c, self.p, self.acc, self.dacc
+        for n in range(max(l, 1), r):
+            s = acc[n] + _dec_int(dacc[n]) + sum(map(mul, p[l:n], c[n - l : 0 : -1]))
+            q, rem = divmod(s, n)
+            if rem:
+                raise ArithmeticError(f"inexact division at n={n}")
+            p[n] = q
+            if self.packable:
+                self.dp[n] = Decimal(q)
+            dacc[n] = None
+
+    def cross(self, l: int, mid: int, r: int) -> None:
+        """Add sum_{i in [l, mid)} p(i) c(n-i) to row n for n in [mid, r)."""
+        c, p = self.c, self.p
+        if not self.packable or mid - l < _CROSSOVER:
+            for n in range(mid, r):
+                self.acc[n] += sum(map(mul, p[l:mid], c[n - l : n - mid : -1]))
+            return
+        for a in range(l, mid, _CHUNK):
+            b = min(a + _CHUNK, mid)
+            # rows a..b-1 meet c(mid-b+1..r-1-a); row n is coefficient n-mid+b-a-1
+            shares = _middle_product(self.dp[a:b], self.dc[mid - b + 1 : r - a], r - mid)
+            for n, share in enumerate(shares, mid):
+                self.dacc[n] += share
 
 
 def _run_kernel(c: list[int], n_max: int) -> list[int]:
     """p(0..n_max) with n p(n) = sum_{k=1}^{n} c(k) p(n-k), p(0) = 1.
 
-    Rows are finished in blocks of _BLOCK.  A block's dependence on
-    earlier rows comes from one packed pass whose slots are wide enough
-    to hold every row's sum: bit length of the largest row so far plus
-    that of sum c(k) over the block, which bounds each partial sum
-    while c >= 0.  A signed c, or slots wider than _PACK_MAX_BITS, take
-    blocks of one row, each one dot product.  Every row is divided
-    exactly by n or the table is rejected.
+    Rows [l, r) are solved by divide and conquer: once the left half
+    [l, mid) is known, its share sum_{i in [l, mid)} p(i) c(n-i) of every
+    row n in [mid, r) is added to that row's accumulator, then the right
+    half is solved.  A leaf of at most _LEAF rows finishes each row with
+    one dot product over the rows of the leaf before it.  While c >= 0, a
+    cross term whose left half holds at least _CROSSOVER rows is one
+    Kronecker product per _CHUNK left rows (_middle_product): the rows
+    and the c(k) they meet are packed into the slots of one Decimal
+    each, libmpdec multiplies the two by number-theoretic transform, and
+    each slot of the wanted range of the product is the share of one
+    row.  A signed c, whose sums could borrow across slots, or a smaller
+    half adds the cross term row by row by dot products.  Every row is
+    divided exactly by n or the table is rejected.  The decimal work runs
+    in a private context with the largest precision and exponent range,
+    so every operation is exact; the caller's context is left as it was.
     """
-    p = [0] * (n_max + 1)
-    p[0] = 1
-    packable = min(c[1 : n_max + 1], default=0) >= 0
-    c_sum = list(accumulate(c[: n_max + 1])) if packable else []
-    top = 1  # largest bit length among the rows found so far
-    a = 1
-    while a <= n_max:
-        m = min(_BLOCK, n_max + 1 - a)
-        past = None
-        if packable and m > 1:
-            s8 = (top + c_sum[a + m - 1].bit_length() + 8) >> 3
-            if 8 * s8 <= _PACK_MAX_BITS:
-                past = _packed_past(c, p, a, m, s8)
-        if past is None:
-            m = 1
-            past = [sum(map(mul, c[1 : a + 1], p[a - 1 :: -1]))]
-        for j in range(m):
-            n = a + j
-            s = past[j] + sum(map(mul, c[1 : j + 1], p[n - 1 : a - 1 : -1]))
-            q, r = divmod(s, n)
-            if r:
-                raise ArithmeticError(f"inexact division at n={n}")
-            p[n] = q
-            top = max(top, q.bit_length())
-        a += m
-    return p
+    rows = _Expansion(c, n_max)
+    with localcontext(_exact_context()):
+        rows.solve(0, n_max + 1)
+    return rows.p
 
 
 def expand_product(spec: ExponentSpec, n_max: int) -> BigIntSeq:

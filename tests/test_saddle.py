@@ -3,7 +3,7 @@ and the numeric saddle oracle."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, log
 
 import pytest
 from hypothesis import given, settings
@@ -558,6 +558,30 @@ def test_tail_cutoff_matches_linear_scan(spec, log_z, mode):
     z = ctx.real(10**log_z)
     assert saddle._tail_cutoff(spec, z, ctx, mode) == tail_cutoff_reference(
         spec, z, ctx, mode)
+
+
+@pytest.mark.parametrize("bias", [-2.0, 2.0])
+@pytest.mark.parametrize("mode", ["dphi", "newton"])
+def test_tail_cutoff_when_the_float_estimate_misses(monkeypatch, bias, mode):
+    # a float log that is off by `bias` puts the estimate of M below it
+    # (bias < 0) or above it (bias > 0); the certified search must still
+    # return the first passing m
+    ctx = PrecisionContext(50)
+    spec = SubgroupCount(2)
+    zs = [ctx.real(z) for z in ("0.05", "0.3", "2")]
+    want = [tail_cutoff_reference(spec, z, ctx, mode) for z in zs]
+    searches = []
+    first_passing = saddle._first_passing
+
+    def counted(test, lo, hi):
+        searches.append(test)
+        return first_passing(test, lo, hi)
+
+    monkeypatch.setattr(saddle, "log", lambda x: log(x) + bias)
+    monkeypatch.setattr(saddle, "_first_passing", counted)
+    assert [saddle._tail_cutoff(spec, z, ctx, mode) for z in zs] == want
+    # each cutoff needed the certified search after its estimate
+    assert len(searches) == 2 * len(zs)
 
 
 @pytest.mark.parametrize("mode", ["phi", "dphi", "newton"])

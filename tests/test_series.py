@@ -4,6 +4,8 @@ sequence container."""
 import json
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from commtuple import (
     weighted_divisor_table,
 )
 from commtuple import _expand_py
-from commtuple.series import _BLOCK, _PACK_MAX_BITS, _run_kernel
+from commtuple.series import _exact_context, _middle_product, _run_kernel
 
 
 def test_weighted_divisor_table():
@@ -91,33 +93,61 @@ def test_expand_matches_direct_across_families():
 
 def test_pure_kernel_matches_active_kernel():
     # signed weights still give integer coefficients: each factor
-    # (1-q^n)^{-f} with f < 0 is a plain polynomial
-    from commtuple.series import _run_kernel
-
+    # (1-q^n)^{-f} with f < 0 is a plain polynomial; 400 rows reach the
+    # divide-and-conquer nodes, whose cross terms are then dot products
     rng = random.Random(5511)
-    for _ in range(4):
-        f = [0] + [rng.randrange(-6, 7) for _ in range(90)]
+    for n_max in (90, 90, 90, 90, 400):
+        f = [0] + [rng.randrange(-6, 7) for _ in range(n_max)]
         c = weighted_divisor_table(f)
-        assert _run_kernel(c, 90) == _expand_py.expand_kernel(c, 90)
+        assert _run_kernel(c, n_max) == _expand_py.expand_kernel(c, n_max)
 
 
-def test_packing_crossover():
-    # N_7 passes the widest packed slot near n = 500: blocks below it are
-    # packed, the rows after it are single dot products
+def test_kernel_matches_oracle_on_wide_rows():
+    # N_7's rows reach about 1300 bits by n = 700, so the Kronecker
+    # products of the top cross terms pack slots of a few hundred digits
     n_max = 700
     c = weighted_divisor_table(evaluate_exponent(SubgroupCount(6), n_max))
     p = _run_kernel(c, n_max)
-    assert p[_BLOCK].bit_length() < _PACK_MAX_BITS < p[n_max].bit_length()
+    assert p[n_max].bit_length() > 1200
     assert p == _expand_py.expand_kernel(c, n_max)
     assert all(isinstance(v, int) for v in p)
+
+
+def test_middle_product_at_full_slots():
+    # 99 terms of (10^50 - 1)(10^20 - 1) make 72 digits, the digits of a
+    # row, a c and the number of rows together: the largest sum a slot
+    # of that width holds
+    xs, ys = [10**50 - 1] * 99, [10**20 - 1] * 150
+    with localcontext(_exact_context()):
+        got = _middle_product([Decimal(x) for x in xs], [Decimal(y) for y in ys], 52)
+    full = 99 * xs[0] * ys[0]
+    assert len(str(full)) == 72
+    assert [int(v) for v in got] == [full] * 52
+
+
+def test_kernel_past_str_digit_limit():
+    # with f(1) = 10^40 the rows pass CPython's 4300-digit int/str limit
+    # near n = 110, and row 300 has about 11400 digits
+    n_max = 300
+    c = weighted_divisor_table([0, 10**40] + [0] * (n_max - 1))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        p = _run_kernel(c, n_max)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert p[n_max].bit_length() > 11000 * 3.32
+    assert p == _expand_py.expand_kernel(c, n_max)
 
 
 @st.composite
 def weight_tables(draw):
     """Non-negative f(1..N) built from runs: zeros (f(1) = 0 is allowed,
     so p need not be monotone), small weights, and weights up to 10^4
-    whose coefficients are too wide to pack."""
-    n_max = draw(st.one_of(st.sampled_from([127, 128, 129, 256]), st.integers(0, 400)))
+    whose coefficients are thousands of bits wide.  N = 600 and 1000
+    run two and three levels of Kronecker cross terms."""
+    n_max = draw(st.one_of(st.sampled_from([127, 128, 129, 256, 600, 1000]),
+                           st.integers(0, 400)))
     values: list[int] = []
     while len(values) < n_max:
         kind = draw(st.sampled_from(["zeros", "small", "wide"]))
@@ -142,15 +172,18 @@ def test_kernel_matches_oracles(table):
         assert seq.values == expand_product_direct(spec, n_max).values
 
 
-@pytest.mark.parametrize("k", [50, 200])
-def test_integrality_witness_in_production_kernel(k):
+@pytest.mark.parametrize("k, n_max", [(50, 300), (200, 300), (700, 1000)],
+                         ids=["50", "200", "700"])
+def test_integrality_witness_in_production_kernel(k, n_max):
     # c(k) + 1 adds p(0) = 1 to k p(k) alone, so row k is the first
-    # inexact row, whether c(k) falls in the first block or a later one
-    c = weighted_divisor_table(evaluate_exponent(ntuple_exponent(2, 300), 300))
-    assert _run_kernel(c, 300) == list(pentagonal_p(300).values)
+    # inexact row, whether p(0) c(k) reaches it in the first leaf (k = 50)
+    # or through a Kronecker cross term (p(0) and row k in different
+    # halves of a node: the root for k = 200 and 700)
+    c = weighted_divisor_table(evaluate_exponent(ntuple_exponent(2, n_max), n_max))
+    assert _run_kernel(c, n_max) == list(pentagonal_p(n_max).values)
     c[k] += 1
     with pytest.raises(ArithmeticError, match=f"at n={k}$"):
-        _run_kernel(c, 300)
+        _run_kernel(c, n_max)
 
 
 def test_commuting_counts():
