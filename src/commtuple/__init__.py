@@ -14,6 +14,8 @@ numeric saddle-point solver for the series coefficients.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .arith import (
     ExponentSpec,
     PolygonalIndicator,
@@ -29,62 +31,12 @@ from .arith import (
     power_value_table,
     subgroup_count_table,
 )
-from .asymptotics import (
-    AsymptoticExpansion,
-    ComparisonRow,
-    compare_exact_asym,
-    estimate_B1,
-    evaluate_expansion,
-    expansion,
-    expansion_one_pole,
-    expansion_three_pole,
-    expansion_two_pole,
-)
 from .inequalities import (
     ScanReport,
     bessenrodt_ono_scan,
     log_concavity_scan,
     log_convexity_scan,
     report_to_json,
-)
-from .lfunction import (
-    LSeriesData,
-    c_constants,
-    dressed_residue,
-    lf_data_for,
-    lf_data_ntuple,
-    lf_data_power,
-)
-from .oracles import (
-    d_coefficients,
-    lagrange_invert,
-    multinomial,
-    power_coefficient,
-    recip_power_coeff,
-    two_pole_K,
-    two_pole_K_series,
-    weighted_partitions,
-)
-from .precision import (
-    PrecisionContext,
-    bernoulli_fraction,
-    euler_gamma,
-    factorial_real,
-    pi_real,
-    zeta_int,
-    zeta_nonpos,
-    zeta_prime_int,
-    zeta_prime_neg,
-)
-from .saddle import (
-    SaddleExpansion,
-    TruncPoly,
-    curve_saddle_series,
-    phi_deriv_eval,
-    phi_eval,
-    rho_numeric,
-    rho_series_three_pole,
-    saddle_series,
 )
 from .series import (
     BigIntSeq,
@@ -100,6 +52,52 @@ from .series import (
     seq_to_json,
     weighted_divisor_table,
 )
+
+# Name -> submodule for the analytic layer and the oracles.  They load (and
+# mpmath with them) on first use of one of these names, so the exact
+# commands never pay for their import.
+_LAZY = {
+    "AsymptoticExpansion": "asymptotics",
+    "ComparisonRow": "asymptotics",
+    "compare_exact_asym": "asymptotics",
+    "estimate_B1": "asymptotics",
+    "evaluate_expansion": "asymptotics",
+    "expansion": "asymptotics",
+    "expansion_one_pole": "asymptotics",
+    "expansion_three_pole": "asymptotics",
+    "expansion_two_pole": "asymptotics",
+    "LSeriesData": "lfunction",
+    "c_constants": "lfunction",
+    "dressed_residue": "lfunction",
+    "lf_data_for": "lfunction",
+    "lf_data_ntuple": "lfunction",
+    "lf_data_power": "lfunction",
+    "d_coefficients": "oracles",
+    "lagrange_invert": "oracles",
+    "multinomial": "oracles",
+    "power_coefficient": "oracles",
+    "recip_power_coeff": "oracles",
+    "two_pole_K": "oracles",
+    "two_pole_K_series": "oracles",
+    "weighted_partitions": "oracles",
+    "PrecisionContext": "precision",
+    "bernoulli_fraction": "precision",
+    "euler_gamma": "precision",
+    "factorial_real": "precision",
+    "pi_real": "precision",
+    "zeta_int": "precision",
+    "zeta_nonpos": "precision",
+    "zeta_prime_int": "precision",
+    "zeta_prime_neg": "precision",
+    "SaddleExpansion": "saddle",
+    "TruncPoly": "saddle",
+    "curve_saddle_series": "saddle",
+    "phi_deriv_eval": "saddle",
+    "phi_eval": "saddle",
+    "rho_numeric": "saddle",
+    "rho_series_three_pole": "saddle",
+    "saddle_series": "saddle",
+}
 
 __all__ = [
     "AsymptoticExpansion",
@@ -173,3 +171,17 @@ __all__ = [
     "zeta_prime_int",
     "zeta_prime_neg",
 ]
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

@@ -24,7 +24,6 @@ import stat
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 
 from . import __version__
 from .arith import (
@@ -34,16 +33,12 @@ from .arith import (
     hnf_subgroup_count,
     subgroup_count_table,
 )
-from .asymptotics import compare_exact_asym, expansion
 from .inequalities import (
     _factorial_log_convexity_scan,
     bessenrodt_ono_scan,
     log_concavity_scan,
     report_to_json,
 )
-from .lfunction import lf_data_for
-from .precision import PrecisionContext
-from .saddle import saddle_series
 from .series import (
     BigIntSeq,
     brute_force_commuting,
@@ -155,6 +150,8 @@ def _family_sequence(cfg: RunConfig, n_max: int) -> BigIntSeq:
 
 def _expansion(cfg: RunConfig, data, ctx: PrecisionContext, saddle=None):
     """The family's expansion, cut to its first --terms terms."""
+    from .asymptotics import expansion
+
     exp = expansion(data, ctx, saddle)
     if cfg.terms is not None:
         if not 1 <= cfg.terms <= len(exp.terms):
@@ -192,6 +189,10 @@ def _cmd_gl(cfg: RunConfig) -> str:
 
 
 def _cmd_constants(cfg: RunConfig) -> str:
+    from .lfunction import lf_data_for
+    from .precision import PrecisionContext
+    from .saddle import saddle_series
+
     ctx = PrecisionContext(cfg.digits)
     data = lf_data_for(_exponent_spec(cfg, 1), ctx)
     saddle = saddle_series(data, ctx)
@@ -244,6 +245,10 @@ def _cmd_constants(cfg: RunConfig) -> str:
 
 
 def _cmd_compare(cfg: RunConfig) -> str:
+    from .asymptotics import compare_exact_asym
+    from .lfunction import lf_data_for
+    from .precision import PrecisionContext
+
     ctx = PrecisionContext(cfg.digits)
     data = lf_data_for(_exponent_spec(cfg, 1), ctx)
     exp = _expansion(cfg, data, ctx)

@@ -17,7 +17,6 @@ the plain row-by-row oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from math import comb, factorial
@@ -408,5 +407,6 @@ def seq_to_csv(seq: BigIntSeq) -> str:
 
 
 def seq_to_json(seq: BigIntSeq) -> str:
-    """JSON array of decimal strings (values can exceed double range)."""
-    return json.dumps([_int_str(v) for v in seq.values], separators=(",", ":")) + "\n"
+    """JSON array of decimal strings (values can exceed double range).
+    The digit strings need no escaping, so they are joined directly."""
+    return "[" + ",".join(['"' + _int_str(v) + '"' for v in seq.values]) + "]\n"

@@ -1,12 +1,16 @@
-"""End-to-end command-line checks through main(argv); every invocation is
-in-process so output capture stays exact."""
+"""End-to-end command-line checks through main(argv), in process so output
+capture stays exact; the analytic commands also run in a fresh interpreter,
+where they import the analytic modules themselves."""
 
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 from decimal import Decimal
 from math import comb
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -111,6 +115,21 @@ def test_constants_computes_saddle_series_once(capsys, monkeypatch):
         # K_5 vanishes identically; the others print as a 5-term series does
         for j, line in enumerate(k_lines[:4]):
             assert line == f"K[{j + 1}]: {ctx.to_str(alone[j])}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--ell", "5"),
+    ("compare", "--ell", "3", "--points", "100,1000"),
+])
+def test_analytic_commands_in_fresh_interpreter(capsys, argv):
+    import commtuple
+
+    env = dict(os.environ, PYTHONPATH=str(Path(commtuple.__file__).parent.parent))
+    res = subprocess.run([sys.executable, "-m", "commtuple", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and out
+    assert (res.returncode, res.stdout) == (0, out)
 
 
 def test_determinism_and_jobs(capsys):

@@ -1,7 +1,14 @@
-"""Package layout: the oracles stay out of the production modules."""
+"""Package layout: the oracles stay out of the production modules, and
+importing the package loads only the exact layer."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import commtuple
 
@@ -83,3 +90,51 @@ def test_numeric_saddle_stays_off_the_series_route():
     assert _series_references(bad, ("rho_numeric",)) == {"_helper: dressed_residue"}
     inline = "def rho_numeric():\n    from . import asymptotics\n"
     assert _series_references(inline, ("rho_numeric",)) == {"rho_numeric: import"}
+
+
+# what `import commtuple` must leave for the first use of an analytic name
+ANALYTIC_MODULES = ("mpmath", "commtuple.precision", "commtuple.lfunction",
+                    "commtuple.saddle", "commtuple.asymptotics", "commtuple.oracles")
+
+
+def _run_fresh(code):
+    """Standard output of code run in a fresh interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return res.stdout
+
+
+def test_import_loads_only_the_exact_layer():
+    code = (
+        "import json, sys\n"
+        "import commtuple, commtuple.cli\n"
+        f"names = {ANALYTIC_MODULES!r}\n"
+        "before = [n for n in names if n in sys.modules]\n"
+        "commtuple.PrecisionContext\n"
+        "after = [n for n in names if n in sys.modules]\n"
+        "from commtuple import *\n"
+        "unbound = [n for n in commtuple.__all__ if n not in globals()]\n"
+        "print(json.dumps([before, after, unbound]))\n"
+    )
+    before, after, unbound = json.loads(_run_fresh(code))
+    assert before == []
+    assert after == ["mpmath", "commtuple.precision"]
+    assert unbound == []
+
+
+# a union type carries no __module__
+DEFINED_IN = {"ExponentSpec": "commtuple.arith"}
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from commtuple import *", namespace)
+    for name in commtuple.__all__:
+        obj = getattr(commtuple, name)
+        module = sys.modules[DEFINED_IN.get(name) or obj.__module__]
+        assert getattr(module, name) is obj, name
+        assert namespace[name] is obj, name
+    assert set(dir(commtuple)) >= set(commtuple.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        commtuple.no_such_name

@@ -245,7 +245,11 @@ def test_bigintseq_indexing():
 def test_serializers():
     seq = BigIntSeq((1, 1, 2), 0, "p")
     assert seq_to_csv(seq) == "n,value\n0,1\n1,1\n2,2\n"
-    assert json.loads(seq_to_json(seq)) == ["1", "1", "2"]
+    assert seq_to_json(seq) == '["1","1","2"]\n'
+    # byte for byte what json.dumps makes of the digit strings
+    for values in ((), (0,), (-7, 3, -(10**60), 10**60)):
+        want = json.dumps([str(v) for v in values], separators=(",", ":")) + "\n"
+        assert seq_to_json(BigIntSeq(values, 1, "x")) == want
 
 
 def test_integrality_witness_rejects_bad_table():
