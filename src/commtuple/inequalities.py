@@ -11,8 +11,12 @@ reported separately from strict violations, never folded into them.
 A comparison of two products of long operands is first decided on the
 leading bits of each operand, which bound each product to an interval;
 only when the intervals overlap (every equality among them) are the
-full products formed.  Scans run serially: the `jobs` argument is
-checked and accepted, but neither the report nor the work depends on it.
+full products formed.  The pair scan screens in four steps, each only
+on what the one before left open: blocks of consecutive b are ruled out
+by bounds on the bit lengths over the block, then single pairs by their
+bit lengths, then the leading bits, and last the exact products.  Scans
+run serially: the `jobs` argument is checked and accepted, but neither
+the report nor the work depends on it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ _LEAD_BITS = 64
 # cost the same at operands of 512-768 bits; at 35 000 bits the screen
 # is about 400 times cheaper).
 _SCREEN_BITS = 1024
+# Consecutive values of b that the pair scan rules out together.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,23 @@ def _screen(w1: int, x1: int, x2: int, w2: int, y1: int, y2: int) -> int:
     return 0
 
 
+def _window_extrema(xs: list, width: int) -> tuple[list, list]:
+    """(hi, lo) with hi[i] = max(xs[i: i + width]) and lo[i] the min, the
+    windows cut at the end of xs; about log2(width) passes over xs."""
+    n = len(xs)
+    hi = lo = xs
+    k = 1  # hi and lo hold windows of width k
+    while k < width and k < n:
+        s = min(k, width - k)
+        # The own tail [n - s:] pads the shift: for i >= n - s the window
+        # of width k at i already reaches the end (i + k >= n), so it is
+        # paired with itself; s <= k < n keeps n - s positive.
+        hi = list(map(max, hi, hi[s:] + hi[n - s:]))
+        lo = list(map(min, lo, lo[s:] + lo[n - s:]))
+        k += s
+    return hi, lo
+
+
 def _second_order_scan(seq: BigIntSeq, n_min: int, n_max: int, w_mid, w_side,
                        convex: bool, label: str) -> ScanReport:
     """Compare w_mid(n) c(n)^2 with w_side(n) c(n-1) c(n+1) for n in
@@ -200,6 +223,10 @@ def bessenrodt_ono_scan(seq: BigIntSeq, max_sum: int, jobs: int = 1) -> ScanRepo
     # c[k] = c(k) for 1 <= k <= max_sum (the offset is 0 or 1)
     c = (0,) * seq.offset + seq.values[: max_sum + 1 - seq.offset]
     bits = [x.bit_length() for x in c]
+    # wmax[i] >= L(a+b) and wmin[j] <= L(b) for a+b in [i, i+_BLOCK) and
+    # b in [j, j+_BLOCK), so wmax[a+b0] - wmin[b0] bounds L(a+b) - L(b)
+    # over the block of b starting at b0, whatever the sequence.
+    wmax, wmin = _window_extrema(bits, _BLOCK)
     viols = []
     eqs = []
     for a in range(1, max_sum // 2 + 1):
@@ -208,23 +235,29 @@ def bessenrodt_ono_scan(seq: BigIntSeq, max_sum: int, jobs: int = 1) -> ScanRepo
         # lengths L, so the pair holds strictly unless
         # L(a+b) - L(b) > L(a) - 2; only those pairs are compared.
         room = bits[a] - 2
-        open_b = compress(range(a, max_sum - a + 1),
-                          map(room.__lt__, map(sub, bits[2 * a: max_sum + 1],
-                                               bits[a: max_sum - a + 1])))
-        for b in open_b:
-            cb = c[b]
-            cab = c[a + b]
-            if bits[a] + bits[b] >= _SCREEN_BITS:
-                sign = _screen(1, ca, cb, 1, cab, 1)
-                if sign:
-                    if sign < 0:
-                        viols.append((a, b))
-                    continue
-            prod = ca * cb
-            if prod < cab:
-                viols.append((a, b))
-            elif prod == cab:
-                eqs.append((a, b))
+        top = max_sum - a + 1
+        open_blocks = compress(range(a, top, _BLOCK),
+                               map(room.__lt__, map(sub, wmax[2 * a:: _BLOCK],
+                                                    wmin[a:: _BLOCK])))
+        for b0 in open_blocks:
+            b1 = min(b0 + _BLOCK, top)
+            open_b = compress(range(b0, b1),
+                              map(room.__lt__, map(sub, bits[a + b0: a + b1],
+                                                   bits[b0: b1])))
+            for b in open_b:
+                cb = c[b]
+                cab = c[a + b]
+                if bits[a] + bits[b] >= _SCREEN_BITS:
+                    sign = _screen(1, ca, cb, 1, cab, 1)
+                    if sign:
+                        if sign < 0:
+                            viols.append((a, b))
+                        continue
+                prod = ca * cb
+                if prod < cab:
+                    viols.append((a, b))
+                elif prod == cab:
+                    eqs.append((a, b))
     threshold = (max(a + b for a, b in viols) + 1) if viols else 2
     return ScanReport(
         seq.label, "bessenrodt-ono", 1, max_sum, tuple(viols), tuple(eqs), threshold

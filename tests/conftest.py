@@ -21,13 +21,3 @@ def p_10k():
 @pytest.fixture(scope="session")
 def n3_10k():
     return ntuple_sequence(3, 10001)
-
-
-@pytest.fixture(scope="session")
-def n4_10k():
-    return ntuple_sequence(4, 10001)
-
-
-@pytest.fixture(scope="session")
-def n5_10k():
-    return ntuple_sequence(5, 10001)

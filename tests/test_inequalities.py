@@ -2,6 +2,8 @@
 and the multiplicative pair inequality."""
 
 import json
+from itertools import compress
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,13 @@ from commtuple import (
     ntuple_sequence,
     report_to_json,
 )
-from commtuple.inequalities import _factorial_log_convexity_scan, _screen
+from commtuple.inequalities import (
+    _BLOCK,
+    _SCREEN_BITS,
+    _factorial_log_convexity_scan,
+    _screen,
+    _window_extrema,
+)
 
 
 def test_log_concavity_single_violation():
@@ -267,3 +275,99 @@ def test_near_ties_reach_the_exact_comparison():
     assert _screen(1, r, r, 1, r * r + 1, 1) == 0
     assert _screen(1, r, r, 1, r * r >> 1, 1) == 1
     assert _screen(2, r, r, 1, r * r * 3, 1) == -1
+
+
+# --- the block screen of the pair scan ---
+
+
+def bessenrodt_ono_reference(seq, max_sum):
+    """The pair scan with only the per-pair bit-length prefilter: every
+    pair with L(a+b) - L(b) > L(a) - 2 goes on to the leading-bit screen
+    and, where that cannot decide, to the exact products."""
+    c = (0,) * seq.offset + seq.values[: max_sum + 1 - seq.offset]
+    bits = [x.bit_length() for x in c]
+    viols, eqs = [], []
+    for a in range(1, max_sum // 2 + 1):
+        ca = c[a]
+        room = bits[a] - 2
+        open_b = compress(range(a, max_sum - a + 1),
+                          map(room.__lt__, map(sub, bits[2 * a: max_sum + 1],
+                                               bits[a: max_sum - a + 1])))
+        for b in open_b:
+            cb, cab = c[b], c[a + b]
+            if bits[a] + bits[b] >= _SCREEN_BITS:
+                sign = _screen(1, ca, cb, 1, cab, 1)
+                if sign:
+                    if sign < 0:
+                        viols.append((a, b))
+                    continue
+            prod = ca * cb
+            if prod < cab:
+                viols.append((a, b))
+            elif prod == cab:
+                eqs.append((a, b))
+    threshold = max(a + b for a, b in viols) + 1 if viols else 2
+    return ScanReport(seq.label, "bessenrodt-ono", 1, max_sum, tuple(viols),
+                      tuple(eqs), threshold)
+
+
+def test_block_screen_matches_reference(p_10k, n3_10k):
+    assert bessenrodt_ono_scan(p_10k, 2000) == bessenrodt_ono_reference(p_10k, 2000)
+    assert bessenrodt_ono_scan(n3_10k, 3000) == bessenrodt_ono_reference(n3_10k, 3000)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=3 * _BLOCK), st.integers(1, 3 * _BLOCK))
+def test_window_extrema_match_slices(xs, width):
+    hi, lo = _window_extrema(xs, width)
+    assert hi == [max(xs[i: i + width]) for i in range(len(xs))]
+    assert lo == [min(xs[i: i + width]) for i in range(len(xs))]
+
+
+@st.composite
+def bit_length_runs(draw):
+    """Positive values on 2 to 400 indices whose bit lengths come in runs:
+    flat, rising, falling, random, or a single spike or drop, so some
+    blocks of b are closed by their bit lengths and others stay open."""
+    lengths = []
+    size = draw(st.integers(2, 400))
+    while len(lengths) < size:
+        kind = draw(st.sampled_from(("flat", "rise", "fall", "random", "spike")))
+        run = draw(st.integers(1, 3 * _BLOCK))
+        start = draw(st.integers(1, 400))
+        if kind == "flat":
+            lengths += [start] * run
+        elif kind == "rise":
+            step = draw(st.integers(0, 5))
+            lengths += [start + step * i for i in range(run)]
+        elif kind == "fall":
+            step = draw(st.integers(1, 5))
+            lengths += [max(1, start - step * i) for i in range(run)]
+        elif kind == "random":
+            lengths += draw(st.lists(st.integers(1, 400), min_size=run, max_size=run))
+        else:
+            lengths.append(draw(st.sampled_from((1, 2, 800, 1200))))
+    values = [draw(st.integers(1 << (k - 1), (1 << k) - 1)) for k in lengths[:size]]
+    offset = draw(st.integers(0, 1))
+    last = offset + size - 1
+    hi = draw(st.one_of(st.just(last), st.integers(2, last))) if last >= 2 else None
+    return BigIntSeq(values, offset, "runs"), hi
+
+
+@settings(max_examples=50, deadline=None)
+@given(bit_length_runs())
+def test_block_screen_matches_naive(case):
+    seq, hi = case
+    if hi is not None:
+        assert bessenrodt_ono_scan(seq, hi) == naive_pairs(seq, hi)
+
+
+def test_block_screen_finds_a_lone_violation():
+    # every pair holds by its bit lengths except those summing to 150,
+    # which sits deep in a block whose other pairs are all ruled out
+    values = [1 << 100] * 200
+    values[150] = 1 << 250
+    seq = BigIntSeq(values, 0, "spike")
+    rep = bessenrodt_ono_scan(seq, 199)
+    assert rep.violations == tuple((a, 150 - a) for a in range(1, 76))
+    assert rep == naive_pairs(seq, 199)
