@@ -63,19 +63,14 @@ _LAZY = {
     "estimate_B1": "asymptotics",
     "evaluate_expansion": "asymptotics",
     "expansion": "asymptotics",
-    "expansion_one_pole": "asymptotics",
-    "expansion_three_pole": "asymptotics",
-    "expansion_two_pole": "asymptotics",
     "LSeriesData": "lfunction",
     "c_constants": "lfunction",
     "dressed_residue": "lfunction",
     "lf_data_for": "lfunction",
     "lf_data_ntuple": "lfunction",
     "lf_data_power": "lfunction",
-    "d_coefficients": "oracles",
     "lagrange_invert": "oracles",
     "multinomial": "oracles",
-    "power_coefficient": "oracles",
     "recip_power_coeff": "oracles",
     "two_pole_K": "oracles",
     "two_pole_K_series": "oracles",
@@ -95,7 +90,6 @@ _LAZY = {
     "phi_deriv_eval": "saddle",
     "phi_eval": "saddle",
     "rho_numeric": "saddle",
-    "rho_series_three_pole": "saddle",
     "saddle_series": "saddle",
 }
 
@@ -120,7 +114,6 @@ __all__ = [
     "commuting_tuple_count",
     "compare_exact_asym",
     "curve_saddle_series",
-    "d_coefficients",
     "dirichlet_convolve",
     "divisor_power_sum",
     "dressed_residue",
@@ -131,9 +124,6 @@ __all__ = [
     "expand_product",
     "expand_product_direct",
     "expansion",
-    "expansion_one_pole",
-    "expansion_three_pole",
-    "expansion_two_pole",
     "factorial_real",
     "factorial_scaled",
     "family_label",
@@ -152,12 +142,10 @@ __all__ = [
     "phi_deriv_eval",
     "phi_eval",
     "pi_real",
-    "power_coefficient",
     "power_value_table",
     "recip_power_coeff",
     "report_to_json",
     "rho_numeric",
-    "rho_series_three_pole",
     "saddle_series",
     "seq_to_csv",
     "seq_to_json",

@@ -30,7 +30,7 @@ from typing import Any
 
 from .lfunction import LSeriesData
 from .precision import PrecisionContext
-from .saddle import SaddleExpansion, TruncPoly, rho_series_three_pole, saddle_series
+from .saddle import SaddleExpansion, TruncPoly, saddle_series
 from .series import BigIntSeq
 
 
@@ -83,37 +83,6 @@ def expansion(
         / mp.sqrt(2 * mp.pi * ctx.real(alpha + 1))
     )
     return AsymptoticExpansion(data.family, C, b, tuple(a_terms))
-
-
-def expansion_one_pole(data: LSeriesData, ctx: PrecisionContext) -> AsymptoticExpansion:
-    if len(data.poles) != 1:
-        raise ValueError("one-pole data required")
-    return expansion(data, ctx)
-
-
-def expansion_two_pole(data: LSeriesData, ctx: PrecisionContext) -> AsymptoticExpansion:
-    if len(data.poles) != 2:
-        raise ValueError("two-pole data required")
-    return expansion(data, ctx)
-
-
-def expansion_three_pole(
-    ell: int,
-    data: LSeriesData,
-    ctx: PrecisionContext,
-    saddle: SaddleExpansion | None = None,
-) -> AsymptoticExpansion:
-    """A_1..A_ell from the saddle series K_1..K_{ell+1}; saddle, if given,
-    is rho_series_three_pole(ell, terms >= ell + 1, data, ctx)."""
-    if ell < 4:
-        raise ValueError("three-pole route requires ell >= 4")
-    if len(data.poles) != 3 or data.c1 is None:
-        raise ValueError("three-pole data required")
-    if saddle is None:
-        saddle = rho_series_three_pole(ell, ell + 1, data, ctx)
-    elif saddle.ell != ell or len(saddle.K) < ell + 1:
-        raise ValueError("saddle series needs ell + 1 terms of the same ell")
-    return expansion(data, ctx, saddle)
 
 
 def evaluate_expansion(exp: AsymptoticExpansion, n: int, ctx: PrecisionContext):

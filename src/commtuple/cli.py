@@ -148,7 +148,7 @@ def _family_sequence(cfg: RunConfig, n_max: int) -> BigIntSeq:
     return expand_product(_exponent_spec(cfg, n_max), n_max)
 
 
-def _expansion(cfg: RunConfig, data, ctx: PrecisionContext, saddle=None):
+def _expansion(cfg: RunConfig, data, ctx, saddle=None):
     """The family's expansion, cut to its first --terms terms."""
     from .asymptotics import expansion
 
@@ -160,7 +160,7 @@ def _expansion(cfg: RunConfig, data, ctx: PrecisionContext, saddle=None):
     return exp
 
 
-def _fmt_frac(q: Fraction) -> str:
+def _fmt_frac(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

@@ -2,8 +2,8 @@
 tests only: no production module imports this one.  two_pole_K gives
 closed forms of K_1..K_5 for two poles; lagrange_invert inverts series
 compositionally, behind the tests' oracle for curve_saddle_series; and
-recip_power_coeff, d_coefficients and power_coefficient enumerate
-weighted multi-indices to assemble the A_k without series arithmetic.
+recip_power_coeff enumerates weighted multi-indices to assemble the A_k
+without series arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from .precision import PrecisionContext
-from .saddle import SaddleExpansion, TruncPoly, curve_saddle_series
+from .saddle import TruncPoly, curve_saddle_series
 
 # --- combinatorial helpers ---
 
@@ -255,38 +255,3 @@ def recip_power_coeff(K, nu: Fraction, target: int, ctx: PrecisionContext):
                 term = term * (K[t] * inv_k1) ** jt
         acc += term
     return lead * acc
-
-
-def d_coefficients(saddle: SaddleExpansion, upto: int, ctx: PrecisionContext):
-    """D_0..D_upto of D(x) = x/rho(x) = 1/(K_1 + K_2 x + ...), by exact
-    multinomial enumeration:
-
-    D_m = K_1^{-1} sum_{(j): sum t j_t = m} (-1)^{sum j} multinom(sum j; j)
-          prod_t (K_{t+1}/K_1)^{j_t}.
-    """
-    if upto >= len(saddle.K):
-        raise ValueError("saddle series too short for requested D range")
-    return [recip_power_coeff(saddle.K, Fraction(1), m, ctx) for m in range(upto + 1)]
-
-
-def power_coefficient(d, exponent: int, index: int, ctx: PrecisionContext):
-    """[x^index] (d_0 + d_1 x + ...)^exponent for integer exponent >= 0,
-    by multinomial enumeration over weighted multi-indices."""
-    if index < 0:
-        return ctx.mp.mpf(0)
-    if exponent == 0:
-        return ctx.real(1 if index == 0 else 0)
-    if index >= len(d):
-        raise ValueError("series too short for requested coefficient")
-    acc = ctx.mp.mpf(0)
-    for j in weighted_partitions(index) if index else [()]:
-        tot = sum(j)
-        if tot > exponent:
-            continue
-        term = ctx.real(Fraction(multinomial(exponent, j)))
-        term = term * d[0] ** (exponent - tot)
-        for t, jt in enumerate(j, start=1):
-            if jt:
-                term = term * d[t] ** jt
-        acc += term
-    return acc

@@ -136,12 +136,6 @@ class TruncPoly:
             inv[n] = -s / c0
         return TruncPoly(self.mp, inv, self.order)
 
-    def valuation(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return self.order + 1
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"TruncPoly({self.coeffs})"
 
@@ -226,21 +220,7 @@ def saddle_series(data, ctx: PrecisionContext) -> SaddleExpansion:
     return SaddleExpansion(curve, step, tuple(K))
 
 
-def rho_series_three_pole(
-    ell: int, terms: int, data, ctx: PrecisionContext
-) -> SaddleExpansion:
-    """Saddle series of the curve C_1 z^ell + C_2 x z^{ell-1} +
-    C_3 x^2 z^{ell-2} = 1 from data.c1..c3 (ell >= 4); for an ntuple
-    family and terms = ell + 1 this is saddle_series(data, ctx)."""
-    if ell < 4:
-        raise ValueError("three-pole route requires ell >= 4")
-    if data.c1 is None:
-        raise ValueError("data lacks saddle coefficients")
-    curve = ((data.c1, 0, ell), (data.c2, 1, ell - 1), (data.c3, 2, ell - 2))
-    return SaddleExpansion(curve, 1, tuple(curve_saddle_series(curve, terms, ctx)))
-
-
-# --- numeric saddle point and Phi evaluation (oracle route) ---
+# --- numeric saddle point and Phi sums (oracle route) ---
 
 
 def _grow_weights(spec: ExponentSpec, table: list, upto: int) -> None:
@@ -366,7 +346,7 @@ def _first_passing(test, lo: int, hi: int) -> int | None:
 def _exp_weight_sum(
     spec: ExponentSpec, z, ctx: PrecisionContext, mode: str, table: list | None = None
 ):
-    """Certified evaluation of the exponential-weight sums
+    """Certified exponential-weight sums
 
         mode "phi":    sum_m f(m) * (-log(1 - u^m))        (this is Phi)
         mode "dphi":   sum_m m f(m) u^m / (1 - u^m)        (this is -Phi')

@@ -11,8 +11,11 @@ solved left half in every row of the right half is one product of two
 polynomials, which it forms by Kronecker substitution in stdlib
 `decimal` (libmpdec multiplies large operands by number-theoretic
 transform, where Python `int` has only Karatsuba), and short row
-ranges are finished by dot products.  `_expand_py.expand_kernel` is
-the plain row-by-row oracle.
+ranges are finished by dot products.  The packed sums hold only while
+every c(k) >= 0, which every ExponentSpec gives (its weights f are
+non-negative), so the kernel refuses a negative c(k).
+`_expand_py.expand_kernel` is the plain row-by-row oracle, signed c
+included.
 """
 
 from __future__ import annotations
@@ -153,12 +156,10 @@ class _Expansion:
     def __init__(self, c: list[int], n_max: int) -> None:
         self.c = c
         self.p = [1] + [0] * n_max
+        self.dp = [Decimal(1)] + [None] * n_max
+        self.dc = [Decimal(v) for v in c[: n_max + 1]]
         self.acc = [0] * (n_max + 1)
         self.dacc = [Decimal(0)] * (n_max + 1)
-        self.packable = min(c[1 : n_max + 1], default=0) >= 0
-        if self.packable:
-            self.dp = [Decimal(1)] + [None] * n_max
-            self.dc = [Decimal(v) for v in c[: n_max + 1]]
 
     def solve(self, l: int, r: int) -> None:
         if r - l > _LEAF:
@@ -167,21 +168,20 @@ class _Expansion:
             self.cross(l, mid, r)
             self.solve(mid, r)
             return
-        c, p, acc, dacc = self.c, self.p, self.acc, self.dacc
+        c, p, dp, acc, dacc = self.c, self.p, self.dp, self.acc, self.dacc
         for n in range(max(l, 1), r):
             s = acc[n] + _dec_int(dacc[n]) + sum(map(mul, p[l:n], c[n - l : 0 : -1]))
             q, rem = divmod(s, n)
             if rem:
                 raise ArithmeticError(f"inexact division at n={n}")
             p[n] = q
-            if self.packable:
-                self.dp[n] = Decimal(q)
+            dp[n] = Decimal(q)
             dacc[n] = None
 
     def cross(self, l: int, mid: int, r: int) -> None:
         """Add sum_{i in [l, mid)} p(i) c(n-i) to row n for n in [mid, r)."""
         c, p = self.c, self.p
-        if not self.packable or mid - l < _CROSSOVER:
+        if mid - l < _CROSSOVER:
             for n in range(mid, r):
                 self.acc[n] += sum(map(mul, p[l:mid], c[n - l : n - mid : -1]))
             return
@@ -200,18 +200,21 @@ def _run_kernel(c: list[int], n_max: int) -> list[int]:
     [l, mid) is known, its share sum_{i in [l, mid)} p(i) c(n-i) of every
     row n in [mid, r) is added to that row's accumulator, then the right
     half is solved.  A leaf of at most _LEAF rows finishes each row with
-    one dot product over the rows of the leaf before it.  While c >= 0, a
-    cross term whose left half holds at least _CROSSOVER rows is one
-    Kronecker product per _CHUNK left rows (_middle_product): the rows
-    and the c(k) they meet are packed into the slots of one Decimal
-    each, libmpdec multiplies the two by number-theoretic transform, and
-    each slot of the wanted range of the product is the share of one
-    row.  A signed c, whose sums could borrow across slots, or a smaller
-    half adds the cross term row by row by dot products.  Every row is
-    divided exactly by n or the table is rejected.  The decimal work runs
+    one dot product over the rows of the leaf before it.  A cross term
+    whose left half holds at least _CROSSOVER rows is one Kronecker
+    product per _CHUNK left rows (_middle_product): the rows and the
+    c(k) they meet are packed into the slots of one Decimal each,
+    libmpdec multiplies the two by number-theoretic transform, and each
+    slot of the wanted range of the product is the share of one row; a
+    smaller half adds the cross term row by row by dot products.  A
+    negative c(k), whose sums could borrow across slots, raises
+    ValueError before any row is solved.  Every row is divided exactly
+    by n, or ArithmeticError rejects the table.  The decimal work runs
     in a private context with the largest precision and exponent range,
     so every operation is exact; the caller's context is left as it was.
     """
+    if min(c[1 : n_max + 1], default=0) < 0:
+        raise ValueError("negative c(k): the kernel needs c >= 0")
     rows = _Expansion(c, n_max)
     with localcontext(_exact_context()):
         rows.solve(0, n_max + 1)

@@ -15,11 +15,10 @@ from commtuple import (
     bessenrodt_ono_scan,
     brute_force_commuting,
     compare_exact_asym,
+    curve_saddle_series,
     expand_product,
     expand_product_direct,
-    expansion_one_pole,
-    expansion_three_pole,
-    expansion_two_pole,
+    expansion,
     factorial_scaled,
     hnf_subgroup_count,
     lf_data_ntuple,
@@ -29,7 +28,7 @@ from commtuple import (
     ntuple_sequence,
     pentagonal_p,
     rho_numeric,
-    rho_series_three_pole,
+    saddle_series,
     subgroup_count_table,
     two_pole_K,
     two_pole_K_series,
@@ -136,7 +135,7 @@ def test_criterion_06_constant_reproduction(ctx50):
     zp2 = mp.mpf(refs["zp2"])
     pf = ctx50.power_frac
 
-    exp3 = expansion_two_pole(lf_data_ntuple(3, ctx50), ctx50)
+    exp3 = expansion(lf_data_ntuple(3, ctx50), ctx50)
     assert exp3.b == Fraction(47, 72)
     assert abs(exp3.terms[0][0]
                - pf(3 * mp.pi, Fraction(2, 3)) * pf(z3, Fraction(1, 3)) / 2) < tol
@@ -153,7 +152,7 @@ def test_criterion_06_constant_reproduction(ctx50):
     assert abs(folded - want3) < tol
 
     data4 = lf_data_ntuple(4, ctx50)
-    exp4 = expansion_three_pole(4, data4, ctx50)
+    exp4 = expansion(data4, ctx50)
     assert exp4.b == Fraction(5, 8)
     want41 = (pf(mp.mpf(2), Fraction(7, 4)) * pf(mp.pi, Fraction(3, 2))
               * pf(z3, Fraction(1, 4))
@@ -163,7 +162,7 @@ def test_criterion_06_constant_reproduction(ctx50):
                / mp.sqrt(8 * mp.pi)) < tol
 
     data5 = lf_data_ntuple(5, ctx50)
-    exp5 = expansion_three_pole(5, data5, ctx50)
+    exp5 = expansion(data5, ctx50)
     assert exp5.b == Fraction(3, 5)
     assert abs(exp5.C - mp.exp(zp2 / 2880) * pf(data5.c1, Fraction(1, 10))
                / mp.sqrt(10 * mp.pi)) < tol
@@ -171,7 +170,7 @@ def test_criterion_06_constant_reproduction(ctx50):
     checked = 0
     for ell in (5, 6, 7, 8):
         data = lf_data_ntuple(ell, ctx50)
-        exp = expansion_three_pole(ell, data, ctx50)
+        exp = expansion(data, ctx50)
         with mpmath.workdps(70):
             c1_ref = mpmath.factorial(ell - 1)
             for j in range(2, ell + 1):
@@ -217,7 +216,7 @@ def test_criterion_08_saddle_consistency(ctx50):
     cells = 0
     for ell in (4, 5, 6):
         data = lf_data_ntuple(ell, ctx50)
-        K = rho_series_three_pole(ell, 6, data, ctx50).K
+        K = curve_saddle_series(saddle_series(data, ctx50).curve, 6, ctx50)
         for j in range(1, 7):
             assert (abs(K[j - 1]) < zero) == (j % ell == 0), (ell, j)
         spec = ntuple_exponent(ell, 8)
@@ -266,19 +265,16 @@ def test_criterion_08_saddle_consistency(ctx50):
           f"coefficient vanishes identically are bounded one-sided)")
 
 
-def test_criterion_09_asymptotic_convergence(ctx50):
+def test_criterion_09_asymptotic_convergence(ctx50, p_10k, n3_10k):
     start = time.perf_counter()
     points = (1000, 3162, 10000)
     summary = []
+    # N_2 and N_3 come from the session tables (to 10^4 + 1)
+    tables = {2: p_10k, 3: n3_10k}
     for ell in (2, 3, 4, 5):
-        seq = ntuple_sequence(ell, 10**4)
+        seq = tables[ell] if ell in tables else ntuple_sequence(ell, 10**4)
         data = lf_data_ntuple(ell, ctx50)
-        if ell == 2:
-            exp = expansion_one_pole(data, ctx50)
-        elif ell == 3:
-            exp = expansion_two_pole(data, ctx50)
-        else:
-            exp = expansion_three_pole(ell, data, ctx50)
+        exp = expansion(data, ctx50)
         rows = compare_exact_asym(seq, exp, points, ctx50)
         devs = [abs(r.ratio - 1) for r in rows]
         assert devs[2] < 0.05, ell

@@ -21,14 +21,11 @@ from commtuple import (
     dressed_residue,
     estimate_B1,
     evaluate_expansion,
+    SaddleExpansion,
     expansion,
-    expansion_one_pole,
-    expansion_three_pole,
-    expansion_two_pole,
     lf_data_ntuple,
     lf_data_power,
     recip_power_coeff,
-    rho_series_three_pole,
     saddle_series,
 )
 from test_saddle import curve_saddle_series_lagrange
@@ -44,7 +41,7 @@ def zeta_prime_ref(s):
 
 def test_pair_family_constants(ctx50):
     mp = ctx50.mp
-    exp = expansion_one_pole(lf_data_ntuple(2, ctx50), ctx50)
+    exp = expansion(lf_data_ntuple(2, ctx50), ctx50)
     assert exp.b == 1
     assert len(exp.terms) == 1
     a1, lam = exp.terms[0]
@@ -55,8 +52,8 @@ def test_pair_family_constants(ctx50):
 
 def test_power_zero_matches_pair_family(ctx50):
     mp = ctx50.mp
-    a = expansion_one_pole(lf_data_ntuple(2, ctx50), ctx50)
-    b = expansion_one_pole(lf_data_power(0, ctx50), ctx50)
+    a = expansion(lf_data_ntuple(2, ctx50), ctx50)
+    b = expansion(lf_data_power(0, ctx50), ctx50)
     assert a.b == b.b
     assert abs(a.C - b.C) < mp.mpf(TOL)
     assert a.terms[0][1] == b.terms[0][1]
@@ -65,7 +62,7 @@ def test_power_zero_matches_pair_family(ctx50):
 
 def test_plane_partition_constants(ctx50):
     mp = ctx50.mp
-    exp = expansion_one_pole(lf_data_power(1, ctx50), ctx50)
+    exp = expansion(lf_data_power(1, ctx50), ctx50)
     assert exp.b == Fraction(25, 36)
     a1, lam = exp.terms[0]
     assert lam == Fraction(2, 3)
@@ -83,7 +80,7 @@ def test_plane_partition_constants(ctx50):
 
 def test_triple_family_constants(ctx50):
     mp = ctx50.mp
-    exp = expansion_two_pole(lf_data_ntuple(3, ctx50), ctx50)
+    exp = expansion(lf_data_ntuple(3, ctx50), ctx50)
     assert exp.b == Fraction(47, 72)
     assert [lam for _, lam in exp.terms] == [
         Fraction(2, 3),
@@ -121,7 +118,7 @@ def test_triple_family_constant_term_identity(ctx50):
     # the constant exponent term equals -c2^2/(6 c1)
     mp = ctx50.mp
     data = lf_data_ntuple(3, ctx50)
-    exp = expansion_two_pole(data, ctx50)
+    exp = expansion(data, ctx50)
     c1 = mp.pi**2 * mp.zeta(3) / 3
     c2 = -mp.pi**2 / 12
     assert abs(exp.terms[2][0] + c2**2 / (6 * c1)) < mp.mpf(TOL)
@@ -130,7 +127,7 @@ def test_triple_family_constant_term_identity(ctx50):
 def test_quadruple_family_constants(ctx50):
     mp = ctx50.mp
     data = lf_data_ntuple(4, ctx50)
-    exp = expansion_three_pole(4, data, ctx50)
+    exp = expansion(data, ctx50)
     assert exp.b == Fraction(5, 8)
     assert [lam for _, lam in exp.terms] == [Fraction(3 - k, 4) for k in range(4)]
     want_a1 = (
@@ -158,7 +155,7 @@ def test_higher_rank_leading_constants(ctx50):
     mp = ctx50.mp
     for ell in (5, 6, 7, 8):
         data = lf_data_ntuple(ell, ctx50)
-        exp = expansion_three_pole(ell, data, ctx50)
+        exp = expansion(data, ctx50)
         assert exp.b == Fraction(ell + 1, 2 * ell)
         with mpmath.workdps(70):
             prod = mpmath.factorial(ell - 1)
@@ -182,12 +179,10 @@ def test_higher_rank_leading_constants(ctx50):
 def test_three_pole_terms_against_series_route(ctx50):
     # rebuild every A_k through generic truncated-series arithmetic
     mp = ctx50.mp
-    from commtuple import rho_series_three_pole
-
     for ell in (4, 5, 6):
         data = lf_data_ntuple(ell, ctx50)
-        exp = expansion_three_pole(ell, data, ctx50)
-        K = rho_series_three_pole(ell, ell + 1, data, ctx50).K
+        exp = expansion(data, ctx50)
+        K = saddle_series(data, ctx50).K
         kpoly = TruncPoly(mp, K, ell)
         inv = kpoly.inverse()
         cs = (data.c1, data.c2, data.c3)
@@ -233,21 +228,21 @@ def test_expansion_validation(ctx50):
 
 def test_three_pole_given_saddle_series(ctx50):
     data = lf_data_ntuple(5, ctx50)
-    own = expansion_three_pole(5, data, ctx50)
-    saddle = rho_series_three_pole(5, 6, data, ctx50)
-    assert expansion_three_pole(5, data, ctx50, saddle) == own
-    with pytest.raises(ValueError):
-        expansion_three_pole(5, data, ctx50, rho_series_three_pole(5, 5, data, ctx50))
-    with pytest.raises(ValueError):
-        expansion_three_pole(
-            5, data, ctx50, rho_series_three_pole(6, 7, lf_data_ntuple(6, ctx50), ctx50)
-        )
+    own = expansion(data, ctx50)
+    saddle = saddle_series(data, ctx50)
+    assert expansion(data, ctx50, saddle) == own
+    J = saddle.expansion_terms
+    short = SaddleExpansion(saddle.curve, saddle.step, saddle.K[: J - 1])
+    with pytest.raises(ValueError, match=f"^saddle series needs {J} terms$"):
+        expansion(data, ctx50, short)
+    with pytest.raises(ValueError, match="^saddle series of other pole data$"):
+        expansion(data, ctx50, saddle_series(lf_data_ntuple(6, ctx50), ctx50))
 
 
 def test_evaluate_pair_family_point(ctx50):
     # closed-form check at n = 1
     mp = ctx50.mp
-    exp = expansion_one_pole(lf_data_ntuple(2, ctx50), ctx50)
+    exp = expansion(lf_data_ntuple(2, ctx50), ctx50)
     val = evaluate_expansion(exp, 1, ctx50)
     want = mp.exp(mp.pi * mp.sqrt(mp.mpf(2) / 3)) / (4 * mp.sqrt(3))
     assert abs(val - want) < mp.mpf("1e-40")
@@ -256,7 +251,7 @@ def test_evaluate_pair_family_point(ctx50):
 
 
 def test_compare_pair_family(ctx50, p_10k):
-    exp = expansion_one_pole(lf_data_ntuple(2, ctx50), ctx50)
+    exp = expansion(lf_data_ntuple(2, ctx50), ctx50)
     rows = compare_exact_asym(p_10k, exp, [5000], ctx50)
     assert rows[0].n == 5000
     assert rows[0].exact == p_10k[5000]
@@ -265,14 +260,14 @@ def test_compare_pair_family(ctx50, p_10k):
 
 
 def test_compare_triple_family_improves(ctx50, n3_10k):
-    exp = expansion_two_pole(lf_data_ntuple(3, ctx50), ctx50)
+    exp = expansion(lf_data_ntuple(3, ctx50), ctx50)
     rows = compare_exact_asym(n3_10k, exp, [1000, 10000], ctx50)
     assert abs(rows[1].ratio - 1) < abs(rows[0].ratio - 1)
     assert abs(rows[1].ratio - 1) < 0.01
 
 
 def test_compare_rejects_nonpositive(ctx50):
-    exp = expansion_one_pole(lf_data_ntuple(2, ctx50), ctx50)
+    exp = expansion(lf_data_ntuple(2, ctx50), ctx50)
     seq = BigIntSeq((1, 0, 2), offset=0, label="bad")
     with pytest.raises(ValueError):
         compare_exact_asym(seq, exp, [1], ctx50)
@@ -282,7 +277,7 @@ def test_estimate_B1_synthetic_zero(ctx50):
     # a sequence manufactured from the expansion itself has no first
     # correction, so the fitted coefficient collapses to rounding noise
     mp = ctx50.mp
-    exp = expansion_one_pole(lf_data_ntuple(2, ctx50), ctx50)
+    exp = expansion(lf_data_ntuple(2, ctx50), ctx50)
     vals = tuple(
         int(mp.nint(evaluate_expansion(exp, n, ctx50))) for n in range(300, 341)
     )
@@ -292,7 +287,7 @@ def test_estimate_B1_synthetic_zero(ctx50):
 
 
 def test_estimate_B1_pair_family_windows(ctx50, p_10k):
-    exp = expansion_one_pole(lf_data_ntuple(2, ctx50), ctx50)
+    exp = expansion(lf_data_ntuple(2, ctx50), ctx50)
     lo = estimate_B1(p_10k, exp, (2000, 3000), ctx50)
     hi = estimate_B1(p_10k, exp, (4000, 5000), ctx50)
     assert abs(lo - hi) <= 0.1 * min(abs(lo), abs(hi))
@@ -301,25 +296,12 @@ def test_estimate_B1_pair_family_windows(ctx50, p_10k):
         estimate_B1(p_10k, exp, (100, 105), ctx50)
 
 
-def test_data_shape_guards(ctx50):
-    two = lf_data_ntuple(3, ctx50)
-    three = lf_data_ntuple(4, ctx50)
-    with pytest.raises(ValueError):
-        expansion_one_pole(two, ctx50)
-    with pytest.raises(ValueError):
-        expansion_two_pole(three, ctx50)
-    with pytest.raises(ValueError):
-        expansion_three_pole(3, two, ctx50)
-    with pytest.raises(ValueError):
-        expansion_three_pole(4, two, ctx50)
-
-
 def test_two_pole_past_five_terms(ctx50):
     # poles (6, 5): seven exponents, past the five closed-form K_j
     mp = ctx50.mp
     data = LSeriesData("synthetic", Fraction(6), ((Fraction(6), mp.mpf(1)),
                        (Fraction(5), mp.mpf(-2))), Fraction(0), mp.mpf(0))
-    exp = expansion_two_pole(data, ctx50)
+    exp = expansion(data, ctx50)
     assert [lam for _, lam in exp.terms] == [Fraction(6 - k, 7) for k in range(7)]
 
 

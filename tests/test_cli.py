@@ -90,11 +90,11 @@ def test_constants_json(capsys):
 
 
 def test_constants_computes_saddle_series_once(capsys, monkeypatch):
-    from commtuple import PrecisionContext, lf_data_ntuple, rho_series_three_pole
-    from commtuple import saddle
+    from commtuple import PrecisionContext, lf_data_ntuple, saddle
 
     ctx = PrecisionContext(50)
-    alone = rho_series_three_pole(5, 5, lf_data_ntuple(5, ctx), ctx).K
+    curve = saddle.saddle_series(lf_data_ntuple(5, ctx), ctx).curve
+    alone = saddle.curve_saddle_series(curve, 5, ctx)
     calls = []
     real = saddle.curve_saddle_series
 

@@ -2,10 +2,13 @@
 importing the package loads only the exact layer."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -136,5 +139,40 @@ def test_public_names_resolve():
         assert getattr(module, name) is obj, name
         assert namespace[name] is obj, name
     assert set(dir(commtuple)) >= set(commtuple.__all__)
+    # a stale lazy entry would otherwise fail only on its first use
+    assert set(commtuple._LAZY) <= set(commtuple.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         commtuple.no_such_name
+
+
+def _annotated(module):
+    """The module-level functions and the class methods defined in module."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj.__qualname__, obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj).values():
+                if isinstance(attr, (classmethod, staticmethod)):
+                    attr = attr.__func__
+                elif isinstance(attr, property):
+                    attr = attr.fget
+                if inspect.isfunction(attr):
+                    yield attr.__qualname__, attr
+
+
+def test_annotations_resolve():
+    # every annotation names something its module can see at run time
+    # (importing __main__ would run the CLI; it defines nothing)
+    names = [p.stem for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__main__"]
+    failed = []
+    for name in names:
+        module = importlib.import_module(
+            "commtuple" if name == "__init__" else f"commtuple.{name}")
+        for qualname, fn in _annotated(module):
+            try:
+                typing.get_type_hints(fn)
+            except NameError as exc:
+                failed.append(f"{name}.{qualname}: {exc}")
+    assert failed == []

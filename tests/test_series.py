@@ -91,15 +91,17 @@ def test_expand_matches_direct_across_families():
         assert list(a.values) == list(b.values), spec
 
 
-def test_pure_kernel_matches_active_kernel():
-    # signed weights still give integer coefficients: each factor
-    # (1-q^n)^{-f} with f < 0 is a plain polynomial; 400 rows reach the
-    # divide-and-conquer nodes, whose cross terms are then dot products
+def test_kernel_refuses_signed_c():
+    # signed weights still give integer coefficients (each factor
+    # (1-q^n)^{-f} with f < 0 is a plain polynomial), but the kernel's
+    # Kronecker slots could borrow on a negative c(k), so it refuses
     rng = random.Random(5511)
     for n_max in (90, 90, 90, 90, 400):
         f = [0] + [rng.randrange(-6, 7) for _ in range(n_max)]
         c = weighted_divisor_table(f)
-        assert _run_kernel(c, n_max) == _expand_py.expand_kernel(c, n_max)
+        assert min(c[1:]) < 0
+        with pytest.raises(ValueError, match="negative c"):
+            _run_kernel(c, n_max)
 
 
 def test_kernel_matches_oracle_on_wide_rows():
