@@ -64,7 +64,6 @@ _LAZY = {
     "evaluate_expansion": "asymptotics",
     "expansion": "asymptotics",
     "LSeriesData": "lfunction",
-    "c_constants": "lfunction",
     "dressed_residue": "lfunction",
     "lf_data_for": "lfunction",
     "lf_data_ntuple": "lfunction",
@@ -78,8 +77,6 @@ _LAZY = {
     "PrecisionContext": "precision",
     "bernoulli_fraction": "precision",
     "euler_gamma": "precision",
-    "factorial_real": "precision",
-    "pi_real": "precision",
     "zeta_int": "precision",
     "zeta_nonpos": "precision",
     "zeta_prime_int": "precision",
@@ -110,7 +107,6 @@ __all__ = [
     "bernoulli_fraction",
     "bessenrodt_ono_scan",
     "brute_force_commuting",
-    "c_constants",
     "commuting_tuple_count",
     "compare_exact_asym",
     "curve_saddle_series",
@@ -124,7 +120,6 @@ __all__ = [
     "expand_product",
     "expand_product_direct",
     "expansion",
-    "factorial_real",
     "factorial_scaled",
     "family_label",
     "hnf_subgroup_count",
@@ -141,7 +136,6 @@ __all__ = [
     "pentagonal_p",
     "phi_deriv_eval",
     "phi_eval",
-    "pi_real",
     "power_value_table",
     "recip_power_coeff",
     "report_to_json",

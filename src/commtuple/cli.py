@@ -22,7 +22,6 @@ import os
 import re
 import stat
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 
 from . import __version__
@@ -52,29 +51,6 @@ from .series import (
 )
 
 _FAMILIES = ("ntuple", "power", "polygonal", "table-file")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved CLI invocation."""
-
-    subcommand: str
-    family: str = "ntuple"
-    ell: int | None = None
-    d: int | None = None
-    k: int | None = None
-    table: str | None = None
-    max_n: int | None = None
-    min_n: int = 2
-    max_sum: int | None = None
-    n: int | None = None
-    digits: int = 50
-    terms: int | None = None
-    points: tuple[int, ...] = (100, 1000, 10000)
-    fmt: str | None = None
-    out: str | None = None
-    jobs: int = 1
-    oracle_op: str | None = None
 
 
 def _parse_points(text: str) -> tuple[int, ...]:
@@ -120,43 +96,43 @@ def _read_table(path: str) -> TableExponent:
     return TableExponent(tuple(rows[n] for n in range(1, top + 1)))
 
 
-def _exponent_spec(cfg: RunConfig, n_hint: int):
-    if cfg.family == "ntuple":
-        if cfg.ell is None:
+def _exponent_spec(args: argparse.Namespace, n_hint: int):
+    if args.family == "ntuple":
+        if args.ell is None:
             raise ValueError("--family ntuple requires --ell")
-        return ntuple_exponent(cfg.ell, n_hint)
-    if cfg.family == "power":
-        if cfg.d is None:
+        return ntuple_exponent(args.ell, n_hint)
+    if args.family == "power":
+        if args.d is None:
             raise ValueError("--family power requires --d")
-        return Power(cfg.d)
-    if cfg.family == "polygonal":
-        if cfg.k is None:
+        return Power(args.d)
+    if args.family == "polygonal":
+        if args.k is None:
             raise ValueError("--family polygonal requires --k")
-        return PolygonalIndicator(cfg.k)
-    if cfg.family == "table-file":
-        if cfg.table is None:
+        return PolygonalIndicator(args.k)
+    if args.family == "table-file":
+        if args.table is None:
             raise ValueError("--family table-file requires --table")
-        return _read_table(cfg.table)
-    raise ValueError(f"unknown family {cfg.family!r}")
+        return _read_table(args.table)
+    raise ValueError(f"unknown family {args.family!r}")
 
 
-def _family_sequence(cfg: RunConfig, n_max: int) -> BigIntSeq:
-    if cfg.family == "ntuple":
-        if cfg.ell is None:
+def _family_sequence(args: argparse.Namespace, n_max: int) -> BigIntSeq:
+    if args.family == "ntuple":
+        if args.ell is None:
             raise ValueError("--family ntuple requires --ell")
-        return ntuple_sequence(cfg.ell, n_max)
-    return expand_product(_exponent_spec(cfg, n_max), n_max)
+        return ntuple_sequence(args.ell, n_max)
+    return expand_product(_exponent_spec(args, n_max), n_max)
 
 
-def _expansion(cfg: RunConfig, data, ctx, saddle=None):
+def _expansion(args: argparse.Namespace, data, ctx, saddle=None):
     """The family's expansion, cut to its first --terms terms."""
     from .asymptotics import expansion
 
     exp = expansion(data, ctx, saddle)
-    if cfg.terms is not None:
-        if not 1 <= cfg.terms <= len(exp.terms):
+    if args.terms is not None:
+        if not 1 <= args.terms <= len(exp.terms):
             raise ValueError(f"--terms must be in 1..{len(exp.terms)} here")
-        exp = type(exp)(exp.family, exp.C, exp.b, exp.terms[: cfg.terms])
+        exp = type(exp)(exp.family, exp.C, exp.b, exp.terms[: args.terms])
     return exp
 
 
@@ -172,33 +148,33 @@ def _emit_seq(seq: BigIntSeq, fmt: str) -> str:
     raise ValueError(f"unsupported format {fmt!r}")
 
 
-def _cmd_seq(cfg: RunConfig) -> str:
-    if cfg.max_n is None or cfg.max_n < 0:
+def _cmd_seq(args: argparse.Namespace) -> str:
+    if args.max_n is None or args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
-    return _emit_seq(_family_sequence(cfg, cfg.max_n), cfg.fmt or "csv")
+    return _emit_seq(_family_sequence(args, args.max_n), args.fmt or "csv")
 
 
-def _cmd_gl(cfg: RunConfig) -> str:
-    if cfg.max_n is None or cfg.max_n < 1:
+def _cmd_gl(args: argparse.Namespace) -> str:
+    if args.max_n is None or args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
-    if cfg.ell is None or cfg.ell < 1:
+    if args.ell is None or args.ell < 1:
         raise ValueError("gl requires --ell >= 1")
-    table = subgroup_count_table(cfg.ell, cfg.max_n)
-    seq = BigIntSeq(tuple(table[1:]), 1, f"subgroups-rank-{cfg.ell}")
-    return _emit_seq(seq, cfg.fmt or "csv")
+    table = subgroup_count_table(args.ell, args.max_n)
+    seq = BigIntSeq(tuple(table[1:]), 1, f"subgroups-rank-{args.ell}")
+    return _emit_seq(seq, args.fmt or "csv")
 
 
-def _cmd_constants(cfg: RunConfig) -> str:
+def _cmd_constants(args: argparse.Namespace) -> str:
     from .lfunction import lf_data_for
     from .precision import PrecisionContext
     from .saddle import saddle_series
 
-    ctx = PrecisionContext(cfg.digits)
-    data = lf_data_for(_exponent_spec(cfg, 1), ctx)
+    ctx = PrecisionContext(args.digits)
+    data = lf_data_for(_exponent_spec(args, 1), ctx)
     saddle = saddle_series(data, ctx)
-    exp = _expansion(cfg, data, ctx, saddle)
+    exp = _expansion(args, data, ctx, saddle)
     ks = saddle.K[: len(exp.terms)]
-    fmt = cfg.fmt or "text"
+    fmt = args.fmt or "text"
     if fmt == "json":
         import json
 
@@ -219,8 +195,8 @@ def _cmd_constants(cfg: RunConfig) -> str:
             ],
             "K": [ctx.to_str(k) for k in ks],
         }
-        if data.c1 is not None:
-            obj["c"] = [ctx.to_str(c) for c in (data.c1, data.c2, data.c3)]
+        if len(saddle.curve) == 3:
+            obj["c"] = [ctx.to_str(c) for c, _, _ in saddle.curve]
         return json.dumps(obj, indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unsupported format {fmt!r}")
@@ -232,9 +208,9 @@ def _cmd_constants(cfg: RunConfig) -> str:
         lines.append(f"pole {_fmt_frac(loc)}: residue {ctx.to_str(res)}")
     lines.append(f"L(0): {_fmt_frac(data.l_at_zero)}")
     lines.append(f"L'(0): {ctx.to_str(data.l_prime_at_zero)}")
-    if data.c1 is not None:
-        for name, val in (("c1", data.c1), ("c2", data.c2), ("c3", data.c3)):
-            lines.append(f"{name}: {ctx.to_str(val)}")
+    if len(saddle.curve) == 3:
+        for i, (c, _, _) in enumerate(saddle.curve, 1):
+            lines.append(f"c{i}: {ctx.to_str(c)}")
     lines.append(f"b: {_fmt_frac(exp.b)}")
     lines.append(f"C: {ctx.to_str(exp.C)}")
     for i, (a, lam) in enumerate(exp.terms):
@@ -244,17 +220,18 @@ def _cmd_constants(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_compare(cfg: RunConfig) -> str:
+def _cmd_compare(args: argparse.Namespace) -> str:
     from .asymptotics import compare_exact_asym
     from .lfunction import lf_data_for
     from .precision import PrecisionContext
 
-    ctx = PrecisionContext(cfg.digits)
-    data = lf_data_for(_exponent_spec(cfg, 1), ctx)
-    exp = _expansion(cfg, data, ctx)
-    seq = _family_sequence(cfg, max(cfg.points))
-    rows = compare_exact_asym(seq, exp, sorted(cfg.points), ctx)
-    fmt = cfg.fmt or "text"
+    points = _parse_points(args.points)
+    ctx = PrecisionContext(args.digits)
+    data = lf_data_for(_exponent_spec(args, 1), ctx)
+    exp = _expansion(args, data, ctx)
+    seq = _family_sequence(args, max(points))
+    rows = compare_exact_asym(seq, exp, sorted(points), ctx)
+    fmt = args.fmt or "text"
     if fmt == "json":
         import json
 
@@ -305,52 +282,52 @@ def _scan_output(report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_logconcave(cfg: RunConfig) -> str:
-    if cfg.max_n is None or cfg.max_n < cfg.min_n:
+def _cmd_logconcave(args: argparse.Namespace) -> str:
+    if args.max_n is None or args.max_n < args.min_n:
         raise ValueError("--max-n must be >= --min-n")
-    seq = _family_sequence(cfg, cfg.max_n + 1)
-    report = log_concavity_scan(seq, cfg.min_n, cfg.max_n, jobs=cfg.jobs)
-    return _scan_output(report, cfg.fmt or "json")
+    seq = _family_sequence(args, args.max_n + 1)
+    report = log_concavity_scan(seq, args.min_n, args.max_n, jobs=args.jobs)
+    return _scan_output(report, args.fmt or "json")
 
 
-def _cmd_logconvex(cfg: RunConfig) -> str:
-    if cfg.family != "ntuple":
+def _cmd_logconvex(args: argparse.Namespace) -> str:
+    if args.family != "ntuple":
         raise ValueError("logconvex scans the factorial-scaled tuple counts; "
                          "use --family ntuple")
-    if cfg.max_n is None or cfg.max_n < cfg.min_n:
+    if args.max_n is None or args.max_n < args.min_n:
         raise ValueError("--max-n must be >= --min-n")
-    seq = _family_sequence(cfg, cfg.max_n + 1)
-    report = _factorial_log_convexity_scan(seq, max(cfg.min_n, 2), cfg.max_n)
-    return _scan_output(report, cfg.fmt or "json")
+    seq = _family_sequence(args, args.max_n + 1)
+    report = _factorial_log_convexity_scan(seq, max(args.min_n, 2), args.max_n)
+    return _scan_output(report, args.fmt or "json")
 
 
-def _cmd_bo(cfg: RunConfig) -> str:
-    if cfg.max_sum is None or cfg.max_sum < 2:
+def _cmd_bo(args: argparse.Namespace) -> str:
+    if args.max_sum is None or args.max_sum < 2:
         raise ValueError("--max-sum must be >= 2")
-    seq = _family_sequence(cfg, cfg.max_sum)
-    report = bessenrodt_ono_scan(seq, cfg.max_sum, jobs=cfg.jobs)
-    return _scan_output(report, cfg.fmt or "json")
+    seq = _family_sequence(args, args.max_sum)
+    report = bessenrodt_ono_scan(seq, args.max_sum, jobs=args.jobs)
+    return _scan_output(report, args.fmt or "json")
 
 
-def _cmd_oracle(cfg: RunConfig) -> str:
-    op = cfg.oracle_op
+def _cmd_oracle(args: argparse.Namespace) -> str:
+    op = args.oracle_op
     if op == "hnf":
-        if cfg.ell is None or cfg.n is None:
+        if args.ell is None or args.n is None:
             raise ValueError("oracle hnf requires --ell and --n")
-        return f"{hnf_subgroup_count(cfg.ell, cfg.n)}\n"
+        return f"{hnf_subgroup_count(args.ell, args.n)}\n"
     if op == "commuting":
-        if cfg.ell is None or cfg.n is None:
+        if args.ell is None or args.n is None:
             raise ValueError("oracle commuting requires --ell and --n")
-        return f"{brute_force_commuting(cfg.ell, cfg.n)}\n"
+        return f"{brute_force_commuting(args.ell, args.n)}\n"
     if op == "direct":
-        if cfg.max_n is None:
+        if args.max_n is None:
             raise ValueError("oracle direct requires --max-n")
-        seq = expand_product_direct(_exponent_spec(cfg, cfg.max_n), cfg.max_n)
-        return _emit_seq(seq, cfg.fmt or "csv")
+        seq = expand_product_direct(_exponent_spec(args, args.max_n), args.max_n)
+        return _emit_seq(seq, args.fmt or "csv")
     if op == "pentagonal":
-        if cfg.max_n is None:
+        if args.max_n is None:
             raise ValueError("oracle pentagonal requires --max-n")
-        return _emit_seq(pentagonal_p(cfg.max_n), cfg.fmt or "csv")
+        return _emit_seq(pentagonal_p(args.max_n), args.fmt or "csv")
     raise ValueError(f"unknown oracle op {op!r}")
 
 
@@ -439,18 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in RunConfig.__dataclass_fields__:
-        if hasattr(args, name):
-            val = getattr(args, name)
-            if val is not None or name in ("fmt", "out"):
-                fields[name] = val
-    if "points" in fields and isinstance(fields["points"], str):
-        fields["points"] = _parse_points(fields["points"])
-    return RunConfig(**fields)
-
-
 def _write_out(path: str, text: str) -> None:
     """Write text to path, following symlinks.
 
@@ -499,12 +464,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     print(f"commtuple {__version__}", file=sys.stderr)
     try:
-        cfg = _config_from(args)
-        if cfg.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
-        text = _DISPATCH[cfg.subcommand](cfg)
-        if cfg.out:
-            _write_out(cfg.out, text)
+        text = _DISPATCH[args.subcommand](args)
+        if args.out:
+            _write_out(args.out, text)
         else:
             sys.stdout.write(text)
     except (ValueError, ArithmeticError, OSError, IndexError) as exc:

@@ -23,9 +23,7 @@ class LSeriesData:
     """Pole data of the weight's Dirichlet series L(s).
 
     poles: ((location, residue-of-L), ...) sorted by decreasing location.
-    l_at_zero is exact (rational for every supported family); c1..c3 are
-    the saddle coefficients of -Phi' and are set for three-pole families
-    only.
+    l_at_zero is exact (rational for every supported family).
     """
 
     family: str
@@ -33,9 +31,6 @@ class LSeriesData:
     poles: tuple[tuple[Fraction, Any], ...]
     l_at_zero: Fraction
     l_prime_at_zero: Any
-    c1: Any = None
-    c2: Any = None
-    c3: Any = None
 
 
 def _zeta_product(args: list[int], ctx: PrecisionContext):
@@ -99,24 +94,6 @@ def dressed_residue(pole, ctx: PrecisionContext):
     return factorial(nu) * zeta_int(nu + 1, ctx) * omega
 
 
-def c_constants(ell: int, ctx: PrecisionContext):
-    """Saddle coefficients (C_1, C_2, C_3) of the three-pole families:
-    -Phi'(z) = C_1 z^{-ell} + C_2 z^{-ell+1} + C_3 z^{-ell+2} + ...
-
-    C_i is the dressed residue of the pole at ell-i.  C_1 > 0, C_2 < 0
-    (a zeta(0) factor), C_3 > 0.
-    """
-    if ell < 4:
-        raise ValueError("three-pole data requires ell >= 4")
-    c1, c2, c3 = (
-        dressed_residue((nu, _ntuple_residue(ell, nu, ctx)), ctx)
-        for nu in (ell - 1, ell - 2, ell - 3)
-    )
-    if not (c1 > 0 and c2 < 0 and c3 > 0):
-        raise ArithmeticError("saddle coefficients have unexpected signs")
-    return c1, c2, c3
-
-
 def lf_data_ntuple(ell: int, ctx: PrecisionContext) -> LSeriesData:
     """Pole data for the commuting-tuple family N_ell, ell >= 2.
 
@@ -135,18 +112,12 @@ def lf_data_ntuple(ell: int, ctx: PrecisionContext) -> LSeriesData:
     poles = tuple(
         (Fraction(nu), _ntuple_residue(ell, nu, ctx)) for nu in locs
     )
-    c1 = c2 = c3 = None
-    if ell >= 4:
-        c1, c2, c3 = c_constants(ell, ctx)
     return LSeriesData(
         family=f"ntuple-{ell}",
         alpha=Fraction(ell - 1),
         poles=poles,
         l_at_zero=_l_at_zero_exact(ell),
         l_prime_at_zero=_l_prime_at_zero(ell, ctx),
-        c1=c1,
-        c2=c2,
-        c3=c3,
     )
 
 

@@ -1,18 +1,43 @@
-"""Independent slow routes for the saddle-point constants, for the
-tests only: no production module imports this one.  two_pole_K gives
-closed forms of K_1..K_5 for two poles; lagrange_invert inverts series
-compositionally, behind the tests' oracle for curve_saddle_series; and
-recip_power_coeff enumerates weighted multi-indices to assemble the A_k
-without series arithmetic.
+"""Independent slow routes for the exact kernel and the saddle-point
+constants, for the tests only: no production module imports this one.
+expand_kernel solves the product-expansion recurrence row by row;
+two_pole_K gives closed forms of K_1..K_5 for two poles; lagrange_invert
+inverts series compositionally, behind the tests' oracle for
+curve_saddle_series; and recip_power_coeff enumerates weighted
+multi-indices to assemble the A_k without series arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from .precision import PrecisionContext
 from .saddle import TruncPoly, curve_saddle_series
+
+# --- product expansion ---
+
+
+def expand_kernel(c: list, n_max: int) -> list:
+    """p(0..n_max) with n p(n) = sum_{k=1}^{n} c(k) p(n-k).
+
+    One multiply-add per term, in the order the recurrence is written;
+    the production kernel `series._run_kernel` must agree with it.
+    Every division must be exact; a nonzero remainder means the weight
+    table does not come from an integral product and is reported.
+    """
+    p = [0] * (n_max + 1)
+    p[0] = 1
+    for n in range(1, n_max + 1):
+        acc = 0
+        for k in range(1, n + 1):
+            acc += c[k] * p[n - k]
+        q, r = divmod(acc, n)
+        if r:
+            raise ArithmeticError(f"inexact division at n={n}")
+        p[n] = q
+    return p
+
 
 # --- combinatorial helpers ---
 
@@ -48,14 +73,6 @@ def multinomial(total: int, parts) -> int:
     out = factorial(total) // factorial(rest)
     for p in parts:
         out //= factorial(p)
-    return out
-
-
-def rising_product(k: int, length: int) -> int:
-    """k (k+1) ... (k+length-1); empty product is 1."""
-    out = 1
-    for t in range(length):
-        out *= k + t
     return out
 
 
@@ -166,7 +183,7 @@ def _lagrange_formula(a, terms: int):
         acc = zero
         for mult in weighted_partitions(k - 1):
             big_l = sum(mult)
-            coef = Fraction((-1) ** big_l * rising_product(k, big_l), k)
+            coef = Fraction((-1) ** big_l * perm(k + big_l - 1, big_l), k)
             for li in mult:
                 coef /= factorial(li)
             term = upow[k + big_l]

@@ -10,7 +10,7 @@ of a context reproduces all reported values to the shorter width.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from mpmath.ctx_mp import MPContext
 
@@ -81,19 +81,8 @@ class PrecisionContext:
         return f"PrecisionContext(digits={self.digits}, guard={self.guard})"
 
 
-def pi_real(ctx: PrecisionContext):
-    return +ctx.mp.pi
-
-
 def ln2pi(ctx: PrecisionContext):
     return ctx.mp.log(2 * ctx.mp.pi)
-
-
-def factorial_real(n: int, ctx: PrecisionContext):
-    """n! as a context real (exact integer, rounded once)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return ctx.real(factorial(n))
 
 
 def zeta_nonpos(d: int) -> Fraction:
@@ -101,14 +90,6 @@ def zeta_nonpos(d: int) -> Fraction:
     if d < 0:
         raise ValueError("d must be >= 0")
     return (-1) ** d * Fraction(bernoulli_fraction(d + 1), d + 1)
-
-
-def _rising_int(s: int, k: int) -> int:
-    # s (s+1) ... (s+k-1)
-    out = 1
-    for t in range(k):
-        out *= s + t
-    return out
 
 
 def zeta_int(m: int, ctx: PrecisionContext):
@@ -135,36 +116,49 @@ def zeta_int(m: int, ctx: PrecisionContext):
     return val
 
 
+def _em_sum(ctx: PrecisionContext, cutoff: int, head, term, tol):
+    """An Euler-Maclaurin sum head(N) + sum_{k>=1} term(N, k) at N = cutoff.
+
+    The correction terms are added until the first one below tol, which
+    bounds the remainder.  If they start to grow first (the asymptotic
+    series diverges at this N), the sum restarts at twice the cutoff.
+    """
+    mp = ctx.mp
+    while True:
+        val = head(cutoff)
+        prev = mp.inf
+        k = 1
+        while True:
+            t = term(cutoff, k)
+            if abs(t) < tol:
+                return val
+            if abs(t) > prev:
+                break
+            val += t
+            prev = abs(t)
+            k += 1
+        cutoff *= 2
+
+
 def _zeta_em(m: int, ctx: PrecisionContext):
     mp = ctx.mp
-    target = ctx.eps_target()
-    cutoff = max(8, (ctx.digits + ctx.guard) // 2)
-    while True:
-        big_n = cutoff
+
+    def head(big_n):
         val = mp.mpf(0)
         for n in range(1, big_n + 1):
             val += mp.mpf(1) / mp.mpf(n**m)
         val += mp.mpf(1) / ((m - 1) * mp.mpf(big_n ** (m - 1)))
         val -= mp.mpf(1) / (2 * mp.mpf(big_n**m))
-        prev = mp.inf
-        k = 1
-        ok = False
-        while True:
-            coeff = Fraction(
-                bernoulli_fraction(2 * k) * _rising_int(m, 2 * k - 1), factorial(2 * k)
-            )
-            term = ctx.real(coeff) / mp.mpf(big_n ** (m + 2 * k - 1))
-            if abs(term) < target:
-                ok = True  # remainder <= first omitted term < target
-                break
-            if abs(term) > prev:
-                break  # divergent regime; raise the cutoff
-            val += term
-            prev = abs(term)
-            k += 1
-        if ok:
-            return val
-        cutoff *= 2
+        return val
+
+    def term(big_n, k):
+        coeff = Fraction(bernoulli_fraction(2 * k) * perm(m + 2 * k - 2, 2 * k - 1),
+                         factorial(2 * k))
+        return ctx.real(coeff) / mp.mpf(big_n ** (m + 2 * k - 1))
+
+    # remainder <= first omitted term
+    return _em_sum(ctx, max(8, (ctx.digits + ctx.guard) // 2), head, term,
+                   ctx.eps_target())
 
 
 def zeta_prime_int(m: int, ctx: PrecisionContext):
@@ -177,14 +171,12 @@ def zeta_prime_int(m: int, ctx: PrecisionContext):
     if key in ctx._cache:
         return ctx._cache[key]
     mp = ctx.mp
-    target = ctx.eps_target()
-    cutoff = max(8, (ctx.digits + ctx.guard) // 2)
-    while True:
-        big_n = cutoff
+
+    def head(big_n):
         logs = [None] * (big_n + 1)
         for n in range(2, big_n + 1):
             logs[n] = mp.log(n)
-        log_n = logs[big_n] if big_n >= 2 else mp.log(big_n)
+        log_n = logs[big_n]
         val = mp.mpf(0)
         for n in range(2, big_n + 1):
             val -= logs[n] / mp.mpf(n**m)
@@ -192,26 +184,18 @@ def zeta_prime_int(m: int, ctx: PrecisionContext):
         pow_n1 = mp.mpf(1) / mp.mpf(big_n ** (m - 1))
         val += pow_n1 * (-log_n / (m - 1) - mp.mpf(1) / (m - 1) ** 2)
         val += log_n / (2 * mp.mpf(big_n**m))
-        prev = mp.inf
-        k = 1
-        ok = False
-        while True:
-            rise = _rising_int(m, 2 * k - 1)
-            coeff = Fraction(bernoulli_fraction(2 * k) * rise, factorial(2 * k))
-            harm = sum(mp.mpf(1) / (m + i) for i in range(2 * k - 1))
-            term = ctx.real(coeff) * (harm - log_n) / mp.mpf(big_n ** (m + 2 * k - 1))
-            if abs(term) < target / 4:
-                ok = True
-                break
-            if abs(term) > prev:
-                break
-            val += term
-            prev = abs(term)
-            k += 1
-        if ok:
-            ctx._cache[key] = val
-            return val
-        cutoff *= 2
+        return val
+
+    def term(big_n, k):
+        coeff = Fraction(bernoulli_fraction(2 * k) * perm(m + 2 * k - 2, 2 * k - 1),
+                         factorial(2 * k))
+        harm = sum(mp.mpf(1) / (m + i) for i in range(2 * k - 1))
+        return ctx.real(coeff) * (harm - mp.log(big_n)) / mp.mpf(big_n ** (m + 2 * k - 1))
+
+    val = _em_sum(ctx, max(8, (ctx.digits + ctx.guard) // 2), head, term,
+                  ctx.eps_target() / 4)
+    ctx._cache[key] = val
+    return val
 
 
 def euler_gamma(ctx: PrecisionContext):
@@ -223,33 +207,23 @@ def euler_gamma(ctx: PrecisionContext):
     if key in ctx._cache:
         return ctx._cache[key]
     mp = ctx.mp
-    target = ctx.eps_target()
-    cutoff = max(16, (ctx.digits + ctx.guard) // 2)
-    while True:
-        big_n = cutoff
+
+    def head(big_n):
         val = mp.mpf(0)
         for n in range(1, big_n + 1):
             val += mp.mpf(1) / n
         val -= mp.log(big_n)
         val -= mp.mpf(1) / (2 * big_n)
-        prev = mp.inf
-        k = 1
-        ok = False
-        while True:
-            coeff = Fraction(bernoulli_fraction(2 * k), 2 * k)
-            term = ctx.real(coeff) / mp.mpf(big_n ** (2 * k))
-            if abs(term) < target:
-                ok = True
-                break
-            if abs(term) > prev:
-                break
-            val += term
-            prev = abs(term)
-            k += 1
-        if ok:
-            ctx._cache[key] = val
-            return val
-        cutoff *= 2
+        return val
+
+    def term(big_n, k):
+        coeff = Fraction(bernoulli_fraction(2 * k), 2 * k)
+        return ctx.real(coeff) / mp.mpf(big_n ** (2 * k))
+
+    val = _em_sum(ctx, max(16, (ctx.digits + ctx.guard) // 2), head, term,
+                  ctx.eps_target())
+    ctx._cache[key] = val
+    return val
 
 
 def zeta_prime_neg(d: int, ctx: PrecisionContext):

@@ -14,7 +14,7 @@ transform, where Python `int` has only Karatsuba), and short row
 ranges are finished by dot products.  The packed sums hold only while
 every c(k) >= 0, which every ExponentSpec gives (its weights f are
 non-negative), so the kernel refuses a negative c(k).
-`_expand_py.expand_kernel` is the plain row-by-row oracle, signed c
+`oracles.expand_kernel` is the plain row-by-row oracle, signed c
 included.
 """
 
@@ -138,27 +138,26 @@ def _dec_int(d: Decimal) -> int:
         return int(d)
 
 
-# rows a leaf finishes one dot product each; fewest rows in a left half
-# for which a cross term is a Kronecker product; most left rows packed
-# into one product, which bounds its memory
-_LEAF = 128
-_CROSSOVER = 96
+# most rows a leaf finishes by one dot product each: a larger range
+# splits, so every left half of a cross term holds at least 96 rows,
+# enough for a Kronecker product to beat dot products; most left rows
+# packed into one product, which bounds its memory
+_LEAF = 191
 _CHUNK = 512
 
 
 class _Expansion:
     """State of one _run_kernel call.  Row n's share of the rows solved
-    so far waits in acc[n] (dot products) and dacc[n] (Kronecker
-    products) until its leaf is solved.  The recursion lives in methods,
-    not nested functions: a recursive closure is a reference cycle,
-    which would keep these tables alive until the cyclic collector ran."""
+    so far waits in dacc[n] until its leaf is solved.  The recursion
+    lives in methods, not nested functions: a recursive closure is a
+    reference cycle, which would keep these tables alive until the
+    cyclic collector ran."""
 
     def __init__(self, c: list[int], n_max: int) -> None:
         self.c = c
         self.p = [1] + [0] * n_max
         self.dp = [Decimal(1)] + [None] * n_max
         self.dc = [Decimal(v) for v in c[: n_max + 1]]
-        self.acc = [0] * (n_max + 1)
         self.dacc = [Decimal(0)] * (n_max + 1)
 
     def solve(self, l: int, r: int) -> None:
@@ -168,9 +167,9 @@ class _Expansion:
             self.cross(l, mid, r)
             self.solve(mid, r)
             return
-        c, p, dp, acc, dacc = self.c, self.p, self.dp, self.acc, self.dacc
+        c, p, dp, dacc = self.c, self.p, self.dp, self.dacc
         for n in range(max(l, 1), r):
-            s = acc[n] + _dec_int(dacc[n]) + sum(map(mul, p[l:n], c[n - l : 0 : -1]))
+            s = _dec_int(dacc[n]) + sum(map(mul, p[l:n], c[n - l : 0 : -1]))
             q, rem = divmod(s, n)
             if rem:
                 raise ArithmeticError(f"inexact division at n={n}")
@@ -180,11 +179,6 @@ class _Expansion:
 
     def cross(self, l: int, mid: int, r: int) -> None:
         """Add sum_{i in [l, mid)} p(i) c(n-i) to row n for n in [mid, r)."""
-        c, p = self.c, self.p
-        if mid - l < _CROSSOVER:
-            for n in range(mid, r):
-                self.acc[n] += sum(map(mul, p[l:mid], c[n - l : n - mid : -1]))
-            return
         for a in range(l, mid, _CHUNK):
             b = min(a + _CHUNK, mid)
             # rows a..b-1 meet c(mid-b+1..r-1-a); row n is coefficient n-mid+b-a-1
@@ -201,13 +195,11 @@ def _run_kernel(c: list[int], n_max: int) -> list[int]:
     row n in [mid, r) is added to that row's accumulator, then the right
     half is solved.  A leaf of at most _LEAF rows finishes each row with
     one dot product over the rows of the leaf before it.  A cross term
-    whose left half holds at least _CROSSOVER rows is one Kronecker
-    product per _CHUNK left rows (_middle_product): the rows and the
-    c(k) they meet are packed into the slots of one Decimal each,
-    libmpdec multiplies the two by number-theoretic transform, and each
-    slot of the wanted range of the product is the share of one row; a
-    smaller half adds the cross term row by row by dot products.  A
-    negative c(k), whose sums could borrow across slots, raises
+    is one Kronecker product per _CHUNK left rows (_middle_product): the
+    rows and the c(k) they meet are packed into the slots of one Decimal
+    each, libmpdec multiplies the two by number-theoretic transform, and
+    each slot of the wanted range of the product is the share of one
+    row.  A negative c(k), whose sums could borrow across slots, raises
     ValueError before any row is solved.  Every row is divided exactly
     by n, or ArithmeticError rejects the table.  The decimal work runs
     in a private context with the largest precision and exponent range,

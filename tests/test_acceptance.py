@@ -16,6 +16,7 @@ from commtuple import (
     brute_force_commuting,
     compare_exact_asym,
     curve_saddle_series,
+    dressed_residue,
     expand_product,
     expand_product_direct,
     expansion,
@@ -158,13 +159,15 @@ def test_criterion_06_constant_reproduction(ctx50):
               * pf(z3, Fraction(1, 4))
               / (pf(mp.mpf(3), Fraction(3, 2)) * pf(mp.mpf(5), Fraction(1, 4))))
     assert abs(exp4.terms[0][0] - want41) < tol
-    assert abs(exp4.C - mp.exp(zp2 / 24) * pf(data4.c1, Fraction(1, 8))
+    c1 = dressed_residue(data4.poles[0], ctx50)
+    assert abs(exp4.C - mp.exp(zp2 / 24) * pf(c1, Fraction(1, 8))
                / mp.sqrt(8 * mp.pi)) < tol
 
     data5 = lf_data_ntuple(5, ctx50)
     exp5 = expansion(data5, ctx50)
     assert exp5.b == Fraction(3, 5)
-    assert abs(exp5.C - mp.exp(zp2 / 2880) * pf(data5.c1, Fraction(1, 10))
+    c1 = dressed_residue(data5.poles[0], ctx50)
+    assert abs(exp5.C - mp.exp(zp2 / 2880) * pf(c1, Fraction(1, 10))
                / mp.sqrt(10 * mp.pi)) < tol
 
     checked = 0
@@ -195,8 +198,6 @@ def test_criterion_06_constant_reproduction(ctx50):
 def test_criterion_07_k_coefficient_cross_check(ctx50):
     mp = ctx50.mp
     data = lf_data_ntuple(3, ctx50)
-    from commtuple import dressed_residue
-
     c1 = dressed_residue(data.poles[0], ctx50)
     c2 = dressed_residue(data.poles[1], ctx50)
     closed = two_pole_K(2, 1, c1, c2, 5, ctx50)

@@ -1,5 +1,5 @@
 """Pole data, residues, L(0), L'(0), and the three-pole saddle
-coefficients."""
+coefficients on the saddle curve."""
 
 from fractions import Fraction
 
@@ -10,11 +10,11 @@ from commtuple import (
     PolygonalIndicator,
     Power,
     SubgroupCount,
-    c_constants,
     dressed_residue,
     lf_data_for,
     lf_data_ntuple,
     lf_data_power,
+    saddle_series,
     zeta_int,
     zeta_nonpos,
     zeta_prime_neg,
@@ -33,7 +33,7 @@ def test_two_pole_free_data(ctx50):
     assert abs(data.poles[0][1] - 1) < tol(ctx50)
     assert data.l_at_zero == Fraction(-1, 2)
     assert abs(data.l_prime_at_zero + mp.log(2 * mp.pi) / 2) < tol(ctx50)
-    assert data.c1 is None
+    assert len(saddle_series(data, ctx50).curve) == 1
 
 
 def test_ell3_data(ctx50):
@@ -47,6 +47,7 @@ def test_ell3_data(ctx50):
     assert data.l_at_zero == Fraction(1, 24)
     want = mp.log(2 * mp.pi) / 24 - zeta_prime_neg(1, ctx50) / 2
     assert abs(data.l_prime_at_zero - want) < tol(ctx50)
+    assert len(saddle_series(data, ctx50).curve) == 2
 
 
 def test_three_pole_locations_and_residues(ctx50):
@@ -81,8 +82,12 @@ def test_l_prime_at_zero_values(ctx50):
         assert lf_data_ntuple(ell, ctx50).l_prime_at_zero == 0
 
 
-def test_c_constants_ell4_closed_forms(ctx50):
-    c1, c2, c3 = c_constants(4, ctx50)
+def curve_coefficients(ell, ctx):
+    return [c for c, _, _ in saddle_series(lf_data_ntuple(ell, ctx), ctx).curve]
+
+
+def test_saddle_curve_ell4_closed_forms(ctx50):
+    c1, c2, c3 = curve_coefficients(4, ctx50)
     z2 = zeta_int(2, ctx50)
     z3 = zeta_int(3, ctx50)
     z4 = zeta_int(4, ctx50)
@@ -96,7 +101,7 @@ def test_c1_against_independent_zeta():
 
     ctx = PrecisionContext(50)
     for ell in range(4, 9):
-        c1, c2, c3 = c_constants(ell, ctx)
+        c1, c2, c3 = curve_coefficients(ell, ctx)
         with mpmath.workdps(70):
             ref = mpmath.factorial(ell - 1)
             for j in range(2, ell + 1):
@@ -107,12 +112,14 @@ def test_c1_against_independent_zeta():
 
 
 def test_c1_dressed_residue_consistency(ctx50):
+    # the three-pole curve is c1 z^ell + c2 x z^(ell-1) + c3 x^2 z^(ell-2),
+    # c_i the dressed residue of the pole at ell - i
     for ell in range(4, 9):
         data = lf_data_ntuple(ell, ctx50)
-        top = data.poles[0]
-        assert abs(data.c1 - dressed_residue(top, ctx50)) < tol(ctx50)
-        assert abs(data.c2 - dressed_residue(data.poles[1], ctx50)) < tol(ctx50)
-        assert abs(data.c3 - dressed_residue(data.poles[2], ctx50)) < tol(ctx50)
+        curve = saddle_series(data, ctx50).curve
+        assert [(p, q) for _, p, q in curve] == [(0, ell), (1, ell - 1), (2, ell - 2)]
+        for (c, _, _), pole in zip(curve, data.poles, strict=True):
+            assert abs(c - dressed_residue(pole, ctx50)) < tol(ctx50)
 
 
 def test_power_family_data(ctx50):
@@ -144,5 +151,3 @@ def test_dispatch(ctx50):
         lf_data_for(PolygonalIndicator(3), ctx50)
     with pytest.raises(ValueError):
         lf_data_ntuple(1, ctx50)
-    with pytest.raises(ValueError):
-        c_constants(3, ctx50)

@@ -2,6 +2,7 @@
 mpmath's independent implementations."""
 
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -10,13 +11,12 @@ from commtuple import (
     PrecisionContext,
     bernoulli_fraction,
     euler_gamma,
-    factorial_real,
-    pi_real,
     zeta_int,
     zeta_nonpos,
     zeta_prime_int,
     zeta_prime_neg,
 )
+from commtuple.precision import _em_sum
 
 
 def as_mp(ctx, x):
@@ -49,7 +49,7 @@ def test_zeta_nonpos_exact():
 
 
 def test_zeta_even_closed_forms(ctx50):
-    pi = pi_real(ctx50)
+    pi = +ctx50.mp.pi
     assert abs(zeta_int(2, ctx50) - pi**2 / 6) < as_mp(ctx50, "1e-48")
     assert abs(zeta_int(4, ctx50) - pi**4 / 90) < as_mp(ctx50, "1e-48")
     assert abs(zeta_int(2, ctx50) * 6 / pi**2 - 1) < as_mp(ctx50, "1e-48")
@@ -80,7 +80,7 @@ def test_zeta_prime_neg_values(ctx50):
         ctx50, "1e-48"
     )
     # even case identity
-    want = -zeta_int(3, ctx50) / (4 * pi_real(ctx50) ** 2)
+    want = -zeta_int(3, ctx50) / (4 * (+ctx50.mp.pi) ** 2)
     assert abs(zeta_prime_neg(2, ctx50) - want) < as_mp(ctx50, "1e-48")
     with mpmath.workdps(70):
         for d in range(0, 7):
@@ -98,10 +98,27 @@ def test_euler_gamma(ctx50):
     assert abs(euler_gamma(ctx50) - as_mp(ctx50, ref)) < as_mp(ctx50, "1e-48")
 
 
-def test_factorial_real(ctx50):
-    assert factorial_real(0, ctx50) == 1
-    assert factorial_real(5, ctx50) == 120
-    assert factorial_real(10, ctx50) == 3628800
+def test_em_sum_restarts_when_terms_grow(ctx50):
+    # zeta(3) from N = 2: the correction terms start to grow long before
+    # they fall below 10^-60, so the sum restarts at 4, 8, ... until the
+    # cutoff is large enough; no production caller starts that low
+    mp = ctx50.mp
+    cutoffs = []
+
+    def head(big_n):
+        cutoffs.append(big_n)
+        val = sum(mp.mpf(1) / n**3 for n in range(1, big_n + 1))
+        return val + mp.mpf(1) / (2 * big_n**2) - mp.mpf(1) / (2 * big_n**3)
+
+    def term(big_n, k):
+        coeff = Fraction(bernoulli_fraction(2 * k) * factorial(2 * k + 1), 2 * factorial(2 * k))
+        return ctx50.real(coeff) / mp.mpf(big_n ** (2 * k + 2))
+
+    val = _em_sum(ctx50, 2, head, term, ctx50.eps_target())
+    assert cutoffs[:2] == [2, 4] and len(cutoffs) > 2
+    with mpmath.workdps(70):
+        ref = mpmath.nstr(mpmath.zeta(3), 60)
+    assert abs(val - as_mp(ctx50, ref)) < as_mp(ctx50, "1e-48")
 
 
 def test_precision_stability():

@@ -30,7 +30,8 @@ from commtuple import (
     subgroup_count_table,
     weighted_divisor_table,
 )
-from commtuple import _expand_py
+from commtuple import series
+from commtuple.oracles import expand_kernel
 from commtuple.series import _exact_context, _middle_product, _run_kernel
 
 
@@ -111,7 +112,7 @@ def test_kernel_matches_oracle_on_wide_rows():
     c = weighted_divisor_table(evaluate_exponent(SubgroupCount(6), n_max))
     p = _run_kernel(c, n_max)
     assert p[n_max].bit_length() > 1200
-    assert p == _expand_py.expand_kernel(c, n_max)
+    assert p == expand_kernel(c, n_max)
     assert all(isinstance(v, int) for v in p)
 
 
@@ -139,7 +140,7 @@ def test_kernel_past_str_digit_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert p[n_max].bit_length() > 11000 * 3.32
-    assert p == _expand_py.expand_kernel(c, n_max)
+    assert p == expand_kernel(c, n_max)
 
 
 @st.composite
@@ -147,8 +148,11 @@ def weight_tables(draw):
     """Non-negative f(1..N) built from runs: zeros (f(1) = 0 is allowed,
     so p need not be monotone), small weights, and weights up to 10^4
     whose coefficients are thousands of bits wide.  N = 600 and 1000
-    run two and three levels of Kronecker cross terms."""
-    n_max = draw(st.one_of(st.sampled_from([127, 128, 129, 256, 600, 1000]),
+    run two and three levels of Kronecker cross terms; from N = 191
+    (192 rows) a node splits into halves of at least 96 rows, and from
+    N = 383 both halves of the root split again."""
+    n_max = draw(st.one_of(st.sampled_from([127, 128, 129, 191, 192, 193, 256,
+                                            383, 384, 600, 1000]),
                            st.integers(0, 400)))
     values: list[int] = []
     while len(values) < n_max:
@@ -169,20 +173,32 @@ def test_kernel_matches_oracles(table):
     spec, n_max = table
     seq = expand_product(spec, n_max)
     c = weighted_divisor_table(evaluate_exponent(spec, n_max))
-    assert list(seq.values) == _expand_py.expand_kernel(c, n_max)
+    assert list(seq.values) == expand_kernel(c, n_max)
     if n_max <= 120:
         assert seq.values == expand_product_direct(spec, n_max).values
 
 
 @pytest.mark.parametrize("k, n_max", [(50, 300), (200, 300), (700, 1000)],
                          ids=["50", "200", "700"])
-def test_integrality_witness_in_production_kernel(k, n_max):
+def test_integrality_witness_in_production_kernel(k, n_max, monkeypatch):
     # c(k) + 1 adds p(0) = 1 to k p(k) alone, so row k is the first
     # inexact row, whether p(0) c(k) reaches it in the first leaf (k = 50)
     # or through a Kronecker cross term (p(0) and row k in different
     # halves of a node: the root for k = 200 and 700)
+    crosses = []
+    cross = series._Expansion.cross
+
+    def record(self, l, mid, r):
+        crosses.append((l, mid, r))
+        cross(self, l, mid, r)
+
+    monkeypatch.setattr(series._Expansion, "cross", record)
     c = weighted_divisor_table(evaluate_exponent(ntuple_exponent(2, n_max), n_max))
     assert _run_kernel(c, n_max) == list(pentagonal_p(n_max).values)
+    # every cross term packs at least 96 left rows into a Kronecker product
+    assert all(mid - l >= 96 for l, mid, _ in crosses)
+    reaching = [(l, mid, r) for l, mid, r in crosses if l == 0 and mid <= k < r]
+    assert len(reaching) == (0 if k == 50 else 1)
     c[k] += 1
     with pytest.raises(ArithmeticError, match=f"at n={k}$"):
         _run_kernel(c, n_max)
@@ -257,4 +273,4 @@ def test_serializers():
 def test_integrality_witness_rejects_bad_table():
     # a hand-broken c-table must trip the exact-division check
     with pytest.raises(ArithmeticError):
-        _expand_py.expand_kernel([0, 1, 1, 2], 3)
+        expand_kernel([0, 1, 1, 2], 3)
