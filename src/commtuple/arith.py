@@ -1,6 +1,8 @@
 """Arithmetic weight tables: divisor power sums, Dirichlet convolution,
 and subgroup counts of free abelian groups.
 
+Subgroup counts are multiplicative and are filled from a
+smallest-prime-factor sieve, with closed forms at prime powers.
 An exponent spec selects the weight function f attached to the product
 G(q) = prod_{n>=1} (1 - q^n)^{-f(n)}.  All tables are 1-indexed Python
 lists with a zero sentinel stored at index 0.
@@ -99,17 +101,38 @@ def power_value_table(p: int, n_max: int) -> list[int]:
 def subgroup_count_table(ell: int, n_max: int) -> list[int]:
     """g_ell(n) for n = 1..n_max: index-n subgroups of Z^ell.
 
-    Computed as the iterated Dirichlet convolution Id^0 * Id^1 * ... *
-    Id^(ell-1); equivalently g_ell(n) = sum over diagonal Hermite forms
-    of prod d_j^(j-1).
+    g_ell = Id^0 * Id^1 * ... * Id^(ell-1) (Dirichlet convolution) is
+    multiplicative, with g_ell(p^k) the Gaussian binomial
+    prod_{i=1}^{ell-1} (p^(k+i) - 1)/(p^i - 1); the table is filled from
+    a smallest-prime-factor sieve.  Equivalently g_ell(n) = sum over
+    diagonal Hermite forms of prod d_j^(j-1).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    table = power_value_table(0, n_max)
-    for p in range(1, ell):
-        table = dirichlet_convolve(table, power_value_table(p, n_max))
+    if ell == 1:
+        return [0] + [1] * n_max
+    spf = list(range(n_max + 1))
+    for p in range(2, isqrt(n_max) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n_max + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    table = [0, 1] + [0] * (n_max - 1)
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        pk = p
+        while n // pk % p == 0:
+            pk *= p
+        if pk < n:
+            table[n] = table[pk] * table[n // pk]
+        else:
+            num = den = 1
+            for i in range(1, ell):
+                num *= pk * p**i - 1
+                den *= p**i - 1
+            table[n] = num // den
     return table
 
 

@@ -1,6 +1,7 @@
 """Independent slow routes for the exact kernel and the saddle-point
 constants, for the tests only: no production module imports this one.
 expand_kernel solves the product-expansion recurrence row by row;
+bernoulli_recurrence builds B_0..B_m from the binomial recurrence;
 two_pole_K gives closed forms of K_1..K_5 for two poles; lagrange_invert
 inverts series compositionally, behind the tests' oracle for
 curve_saddle_series; and recip_power_coeff enumerates weighted
@@ -10,7 +11,7 @@ multi-indices to assemble the A_k without series arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import comb, factorial, perm
 
 from .precision import PrecisionContext
 from .saddle import TruncPoly, curve_saddle_series
@@ -37,6 +38,20 @@ def expand_kernel(c: list, n_max: int) -> list:
             raise ArithmeticError(f"inexact division at n={n}")
         p[n] = q
     return p
+
+
+# --- Bernoulli numbers ---
+
+
+def bernoulli_recurrence(m: int) -> list[Fraction]:
+    """B_0..B_m (convention B_1 = -1/2) from
+    sum_{j<=k} binom(k+1, j) B_j = 0, one Fraction sum per index; the
+    tangent-number route `precision.bernoulli_fraction` must agree."""
+    out = [Fraction(1)]
+    for k in range(1, m + 1):
+        s = sum(Fraction(comb(k + 1, j)) * out[j] for j in range(k))
+        out.append(-s / (k + 1))
+    return out
 
 
 # --- combinatorial helpers ---

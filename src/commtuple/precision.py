@@ -4,13 +4,15 @@ Every routine takes an explicit PrecisionContext and returns values
 bound to that context's mpf type.  Truncation cutoffs for the
 Euler-Maclaurin sums are driven by the standard remainder bounds at the
 working precision, never by fixed term counts, so doubling the digits
-of a context reproduces all reported values to the shorter width.
+of a context reproduces all reported values to the shorter width.  The
+exact Bernoulli numbers those corrections need come from integer
+tangent numbers, in O(m^2) small-integer steps for B_0..B_m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial, perm
 
 from mpmath.ctx_mp import MPContext
 
@@ -20,16 +22,34 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 def bernoulli_fraction(m: int) -> Fraction:
     """Exact Bernoulli number B_m (convention B_1 = -1/2).
 
-    Grown on demand via sum_{j<=m} binom(m+1, j) B_j = 0; the cache fill
-    is append-only and idempotent.
+    When the cache is too short it is rebuilt in place from tangent
+    numbers, to at least twice its length; `del _BERNOULLI[1:]` resets it.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    while len(_BERNOULLI) <= m:
-        k = len(_BERNOULLI)
-        s = sum(Fraction(comb(k + 1, j)) * _BERNOULLI[j] for j in range(k))
-        _BERNOULLI.append(-s / (k + 1))
+    if len(_BERNOULLI) <= m:
+        _fill_bernoulli(max(m, 2 * len(_BERNOULLI)))
     return _BERNOULLI[m]
+
+
+def _fill_bernoulli(m: int) -> None:
+    """Rebuild _BERNOULLI as B_0..B_m (at least) from the tangent numbers
+    T_1..T_n, n = m // 2, by the small-integer recurrence of Brent and
+    Harvey ("Fast computation of Bernoulli, tangent and secant numbers",
+    2013): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    n = m // 2
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, n + 1):
+        four_k = 4**k
+        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+        out += [b if k % 2 else -b, Fraction(0)]
+    _BERNOULLI[:] = out
 
 
 class PrecisionContext:

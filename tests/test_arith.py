@@ -4,6 +4,8 @@ Hermite-form oracle."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commtuple import (
     PolygonalIndicator,
@@ -74,6 +76,33 @@ def test_subgroup_count_low_rank():
     assert subgroup_count_table(2, 500)[1:] == sig
     g3 = subgroup_count_table(3, 8)
     assert g3[1:7] == [1, 7, 13, 35, 31, 91]
+
+
+def convolved_subgroup_counts(ell, n_max):
+    """Id^0 * Id^1 * ... * Id^(ell-1), one Dirichlet convolution at a time."""
+    table = power_value_table(0, n_max)
+    for p in range(1, ell):
+        table = dirichlet_convolve(table, power_value_table(p, n_max))
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 1500))
+def test_subgroup_count_matches_convolution(ell, n_max):
+    assert subgroup_count_table(ell, n_max) == convolved_subgroup_counts(ell, n_max)
+
+
+@pytest.mark.parametrize("ell, n_max", [
+    (1, 1), (5, 1),      # only the sentinel and g(1)
+    (4, 997),            # ends at a prime
+    (6, 1024),           # ends at a prime power
+    (3, 2187),           # ends at an odd prime power
+    (8, 2800),
+])
+def test_subgroup_count_fixed_cases(ell, n_max):
+    table = subgroup_count_table(ell, n_max)
+    assert table == convolved_subgroup_counts(ell, n_max)
+    assert len(table) == n_max + 1 and table[:2] == [0, 1]
 
 
 def test_subgroup_count_multiplicative():

@@ -16,6 +16,8 @@ from commtuple import (
     zeta_prime_int,
     zeta_prime_neg,
 )
+from commtuple import precision
+from commtuple.oracles import bernoulli_recurrence
 from commtuple.precision import _em_sum
 
 
@@ -37,6 +39,19 @@ def test_bernoulli_values():
     }
     for m, want in expected.items():
         assert bernoulli_fraction(m) == want
+
+
+def test_bernoulli_matches_recurrence():
+    want = bernoulli_recurrence(300)
+    assert [bernoulli_fraction(m) for m in range(301)] == want
+    # the reset the benchmark applies before each round, then requests
+    # that shrink, grow past the cache and hit odd indices
+    for order in ((7, 200, 3, 64, 1), (300, 0, 299, 1)):
+        del precision._BERNOULLI[1:]
+        for m in order:
+            assert bernoulli_fraction(m) == want[m], m
+    with pytest.raises(ValueError):
+        bernoulli_fraction(-1)
 
 
 def test_zeta_nonpos_exact():
