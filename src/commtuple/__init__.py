@@ -22,7 +22,6 @@ from .arith import (
     Power,
     SubgroupCount,
     TableExponent,
-    dirichlet_convolve,
     divisor_power_sum,
     evaluate_exponent,
     family_label,
@@ -53,9 +52,9 @@ from .series import (
     weighted_divisor_table,
 )
 
-# Name -> submodule for the analytic layer and the oracles.  They load (and
-# mpmath with them) on first use of one of these names, so the exact
-# commands never pay for their import.
+# Name -> submodule for the analytic layer.  It loads (and mpmath with it)
+# on first use of one of these names, so the exact commands never pay for
+# its import.
 _LAZY = {
     "AsymptoticExpansion": "asymptotics",
     "ComparisonRow": "asymptotics",
@@ -68,12 +67,6 @@ _LAZY = {
     "lf_data_for": "lfunction",
     "lf_data_ntuple": "lfunction",
     "lf_data_power": "lfunction",
-    "lagrange_invert": "oracles",
-    "multinomial": "oracles",
-    "recip_power_coeff": "oracles",
-    "two_pole_K": "oracles",
-    "two_pole_K_series": "oracles",
-    "weighted_partitions": "oracles",
     "PrecisionContext": "precision",
     "bernoulli_fraction": "precision",
     "euler_gamma": "precision",
@@ -110,7 +103,6 @@ __all__ = [
     "commuting_tuple_count",
     "compare_exact_asym",
     "curve_saddle_series",
-    "dirichlet_convolve",
     "divisor_power_sum",
     "dressed_residue",
     "estimate_B1",
@@ -124,30 +116,24 @@ __all__ = [
     "family_label",
     "hnf_subgroup_count",
     "is_polygonal",
-    "lagrange_invert",
     "lf_data_for",
     "lf_data_ntuple",
     "lf_data_power",
     "log_concavity_scan",
     "log_convexity_scan",
-    "multinomial",
     "ntuple_exponent",
     "ntuple_sequence",
     "pentagonal_p",
     "phi_deriv_eval",
     "phi_eval",
     "power_value_table",
-    "recip_power_coeff",
     "report_to_json",
     "rho_numeric",
     "saddle_series",
     "seq_to_csv",
     "seq_to_json",
     "subgroup_count_table",
-    "two_pole_K",
-    "two_pole_K_series",
     "weighted_divisor_table",
-    "weighted_partitions",
     "zeta_int",
     "zeta_nonpos",
     "zeta_prime_int",

@@ -1,5 +1,5 @@
-"""Arithmetic weight tables: divisor power sums, Dirichlet convolution,
-and subgroup counts of free abelian groups.
+"""Arithmetic weight tables: divisor power sums, powers, polygonal
+indicators and subgroup counts of free abelian groups.
 
 Subgroup counts are multiplicative and are filled from a
 smallest-prime-factor sieve, with closed forms at prime powers.
@@ -78,20 +78,6 @@ def divisor_power_sum(m: int, n: int) -> int:
             if e != d:
                 total += e**m
     return total
-
-
-def dirichlet_convolve(a: list[int], b: list[int]) -> list[int]:
-    """(a * b)(n) = sum_{d|n} a(d) b(n/d) on 1..N; inputs share a length."""
-    if len(a) != len(b):
-        raise ValueError("tables must cover the same range")
-    n_max = len(a) - 1
-    out = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        ad = a[d]
-        if ad:
-            for m in range(d, n_max + 1, d):
-                out[m] += ad * b[m // d]
-    return out
 
 
 def power_value_table(p: int, n_max: int) -> list[int]:

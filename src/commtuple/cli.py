@@ -294,10 +294,12 @@ def _cmd_logconvex(args: argparse.Namespace) -> str:
     if args.family != "ntuple":
         raise ValueError("logconvex scans the factorial-scaled tuple counts; "
                          "use --family ntuple")
+    if args.min_n < 2:
+        raise ValueError("--min-n must be >= 2")
     if args.max_n is None or args.max_n < args.min_n:
         raise ValueError("--max-n must be >= --min-n")
     seq = _family_sequence(args, args.max_n + 1)
-    report = _factorial_log_convexity_scan(seq, max(args.min_n, 2), args.max_n)
+    report = _factorial_log_convexity_scan(seq, args.min_n, args.max_n)
     return _scan_output(report, args.fmt or "json")
 
 

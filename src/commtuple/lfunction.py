@@ -27,10 +27,14 @@ class LSeriesData:
     """
 
     family: str
-    alpha: Fraction
     poles: tuple[tuple[Fraction, Any], ...]
     l_at_zero: Fraction
     l_prime_at_zero: Any
+
+    @property
+    def alpha(self) -> Fraction:
+        """Location of the dominant pole."""
+        return self.poles[0][0]
 
 
 def _zeta_product(args: list[int], ctx: PrecisionContext):
@@ -114,7 +118,6 @@ def lf_data_ntuple(ell: int, ctx: PrecisionContext) -> LSeriesData:
     )
     return LSeriesData(
         family=f"ntuple-{ell}",
-        alpha=Fraction(ell - 1),
         poles=poles,
         l_at_zero=_l_at_zero_exact(ell),
         l_prime_at_zero=_l_prime_at_zero(ell, ctx),
@@ -128,7 +131,6 @@ def lf_data_power(d: int, ctx: PrecisionContext) -> LSeriesData:
         raise ValueError("d must be in 0..4")
     return LSeriesData(
         family=f"power-{d}",
-        alpha=Fraction(d + 1),
         poles=((Fraction(d + 1), ctx.real(1)),),
         l_at_zero=zeta_nonpos(d),
         l_prime_at_zero=zeta_prime_neg(d, ctx),

@@ -1,6 +1,8 @@
 """Independent slow routes for the exact kernel and the saddle-point
-constants, for the tests only: no production module imports this one.
-expand_kernel solves the product-expansion recurrence row by row;
+constants, for the tests only: no production module imports this one,
+and the package namespace exports none of its names.  dirichlet_convolve
+convolves weight tables, behind the tests' oracle for the subgroup
+counts; expand_kernel solves the product-expansion recurrence row by row;
 bernoulli_recurrence builds B_0..B_m from the binomial recurrence;
 two_pole_K gives closed forms of K_1..K_5 for two poles; lagrange_invert
 inverts series compositionally, behind the tests' oracle for
@@ -14,7 +16,26 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .precision import PrecisionContext
-from .saddle import TruncPoly, curve_saddle_series
+from .saddle import TruncPoly
+
+# --- weight tables ---
+
+
+def dirichlet_convolve(a: list[int], b: list[int]) -> list[int]:
+    """(a * b)(n) = sum_{d|n} a(d) b(n/d) on 1..N; inputs share a length.
+    Iterated over Id^0, ..., Id^(ell-1) it gives the subgroup counts
+    that `arith.subgroup_count_table` fills from a sieve."""
+    if len(a) != len(b):
+        raise ValueError("tables must cover the same range")
+    n_max = len(a) - 1
+    out = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        ad = a[d]
+        if ad:
+            for m in range(d, n_max + 1, d):
+                out[m] += ad * b[m // d]
+    return out
+
 
 # --- product expansion ---
 
@@ -249,16 +270,6 @@ def two_pole_K(alpha, beta, c1, c2, terms: int, ctx: PrecisionContext):
     )
     ks.append(c2**4 * rat(p5 / (24 * a1**4)) / cpow((4 * be + 3) / a1))
     return ks[:terms]
-
-
-def two_pole_K_series(alpha: int, beta: int, c1, c2, terms: int, ctx: PrecisionContext):
-    """Same coefficients by the generic curve inversion (integer
-    exponents only): c_1 z^{alpha+1} + c_2 x z^{beta+1} = 1 with
-    x = n^{-(alpha-beta)/(alpha+1)}."""
-    if not (isinstance(alpha, int) and isinstance(beta, int) and alpha > beta >= 1):
-        raise ValueError("integer alpha > beta >= 1 required")
-    mon = [(c1, 0, alpha + 1), (c2, 1, beta + 1)]
-    return curve_saddle_series(mon, terms, ctx)
 
 
 # --- coefficients of powers of the K-series by enumeration ---

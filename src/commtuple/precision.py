@@ -60,37 +60,31 @@ class PrecisionContext:
     global state.
     """
 
-    def __init__(self, digits: int = 50, guard: int = 10):
+    guard = 10
+
+    def __init__(self, digits: int = 50):
         if digits < 50:
             raise ValueError("digits must be >= 50")
-        if guard < 5:
-            raise ValueError("guard must be >= 5")
         self.digits = digits
-        self.guard = guard
-        mp = MPContext()
-        mp.dps = digits + guard
-        self._mp = mp
+        self.mp = MPContext()
+        self.mp.dps = digits + self.guard
         self._cache: dict = {}
-
-    @property
-    def mp(self) -> MPContext:
-        return self._mp
 
     def real(self, x):
         """Promote int / Fraction / str / mpf to this context's mpf."""
         if isinstance(x, Fraction):
-            return self._mp.mpf(x.numerator) / x.denominator
-        return self._mp.mpf(x)
+            return self.mp.mpf(x.numerator) / x.denominator
+        return self.mp.mpf(x)
 
     def power_frac(self, x, e: Fraction):
         """x^e for positive real x and exact rational e."""
         if x <= 0:
             raise ValueError("power_frac needs a positive base")
-        return self._mp.power(x, self.real(e))
+        return self.mp.power(x, self.real(e))
 
     def eps_target(self):
         """Absolute tail target: below the last guarded digit."""
-        return self._mp.mpf(10) ** (-(self.digits + self.guard))
+        return self.mp.mpf(10) ** (-(self.digits + self.guard))
 
     def to_str(self, x, digits: int | None = None) -> str:
         from mpmath import nstr
@@ -98,7 +92,7 @@ class PrecisionContext:
         return nstr(x, digits or self.digits)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"PrecisionContext(digits={self.digits}, guard={self.guard})"
+        return f"PrecisionContext(digits={self.digits})"
 
 
 def ln2pi(ctx: PrecisionContext):
@@ -206,11 +200,17 @@ def zeta_prime_int(m: int, ctx: PrecisionContext):
         val += log_n / (2 * mp.mpf(big_n**m))
         return val
 
+    # harm[j] = sum_{i<j} 1/(m + i), extended as k grows and shared by
+    # _em_sum's restarts: it does not depend on the cutoff
+    harm = [0]
+
     def term(big_n, k):
         coeff = Fraction(bernoulli_fraction(2 * k) * perm(m + 2 * k - 2, 2 * k - 1),
                          factorial(2 * k))
-        harm = sum(mp.mpf(1) / (m + i) for i in range(2 * k - 1))
-        return ctx.real(coeff) * (harm - mp.log(big_n)) / mp.mpf(big_n ** (m + 2 * k - 1))
+        while len(harm) < 2 * k:
+            harm.append(harm[-1] + mp.mpf(1) / (m + len(harm) - 1))
+        return (ctx.real(coeff) * (harm[2 * k - 1] - mp.log(big_n))
+                / mp.mpf(big_n ** (m + 2 * k - 1)))
 
     val = _em_sum(ctx, max(8, (ctx.digits + ctx.guard) // 2), head, term,
                   ctx.eps_target() / 4)

@@ -12,7 +12,6 @@ from commtuple import (
     Power,
     SubgroupCount,
     TableExponent,
-    dirichlet_convolve,
     divisor_power_sum,
     evaluate_exponent,
     hnf_subgroup_count,
@@ -20,6 +19,7 @@ from commtuple import (
     power_value_table,
     subgroup_count_table,
 )
+from commtuple.oracles import dirichlet_convolve
 
 
 def naive_sigma(m, n):

@@ -25,9 +25,9 @@ from commtuple import (
     expansion,
     lf_data_ntuple,
     lf_data_power,
-    recip_power_coeff,
     saddle_series,
 )
+from commtuple.oracles import recip_power_coeff
 from test_saddle import curve_saddle_series_lagrange
 
 TOL = "1e-44"
@@ -298,8 +298,8 @@ def test_estimate_B1_pair_family_windows(ctx50, p_10k):
 def test_two_pole_past_five_terms(ctx50):
     # poles (6, 5): seven exponents, past the five closed-form K_j
     mp = ctx50.mp
-    data = LSeriesData("synthetic", Fraction(6), ((Fraction(6), mp.mpf(1)),
-                       (Fraction(5), mp.mpf(-2))), Fraction(0), mp.mpf(0))
+    data = LSeriesData("synthetic", ((Fraction(6), mp.mpf(1)), (Fraction(5), mp.mpf(-2))),
+                       Fraction(0), mp.mpf(0))
     exp = expansion(data, ctx50)
     assert [lam for _, lam in exp.terms] == [Fraction(6 - k, 7) for k in range(7)]
 
@@ -312,8 +312,8 @@ def test_expansion_rejects_foreign_saddle(ctx50):
     short = saddle_series(data, ctx50)
     with pytest.raises(ValueError):
         expansion(data, ctx50, replace(short, K=short.K[:2]))
-    half = LSeriesData("synthetic", Fraction(5, 2), ((Fraction(5, 2), ctx50.real(1)),),
-                       Fraction(0), ctx50.real(0))
+    half = LSeriesData("synthetic", ((Fraction(5, 2), ctx50.real(1)),), Fraction(0),
+                       ctx50.real(0))
     with pytest.raises(ValueError):
         expansion(half, ctx50)
 
@@ -336,7 +336,7 @@ def pole_data(draw):
     residues = [draw(st.fractions(Fraction(1, 8), 4, max_denominator=64))]
     residues += [draw(st.fractions(-4, 4, max_denominator=64)) for _ in gaps]
     poles = tuple((Fraction(nu), ctx.real(w)) for nu, w in zip(nus, residues))
-    return LSeriesData("synthetic", Fraction(alpha), poles, Fraction(0), ctx.real(0))
+    return LSeriesData("synthetic", poles, Fraction(0), ctx.real(0))
 
 
 def check_against_oracle_assembly(data):
@@ -377,7 +377,7 @@ def test_expansion_on_even_grid_matches_oracle_assembly(ctx50):
     # poles (10, 8, 4): grid step s = 2, x = n^{-2/11}, J = 6 terms
     poles = ((Fraction(10), ctx50.real(1)), (Fraction(8), ctx50.real(-3)),
              (Fraction(4), ctx50.real("0.5")))
-    data = LSeriesData("synthetic", Fraction(10), poles, Fraction(0), ctx50.real(0))
+    data = LSeriesData("synthetic", poles, Fraction(0), ctx50.real(0))
     assert len(expansion(data, ctx50).terms) == 6
     check_against_oracle_assembly(data)
 

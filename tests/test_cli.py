@@ -248,6 +248,14 @@ def test_jobs_below_one_rejected(capsys):
             assert err.splitlines()[-1] == "error: --jobs must be >= 1"
 
 
+def test_logconvex_min_n_below_two_rejected(capsys):
+    for min_n in ("-5", "0", "1"):
+        rc, out, err = run(capsys, "logconvex", "--family", "ntuple", "--ell", "2",
+                           "--min-n", min_n, "--max-n", "30")
+        assert (rc, out) == (1, "")
+        assert err.splitlines()[1:] == ["error: --min-n must be >= 2"]
+
+
 def test_out_failures(tmp_path, capsys):
     missing = tmp_path / "nodir" / "x.csv"
     rc, out, err = run(capsys, "seq", "--ell", "2", "--max-n", "5",

@@ -118,12 +118,15 @@ def test_import_loads_only_the_exact_layer():
         "after = [n for n in names if n in sys.modules]\n"
         "from commtuple import *\n"
         "unbound = [n for n in commtuple.__all__ if n not in globals()]\n"
-        "print(json.dumps([before, after, unbound]))\n"
+        "star = [n for n in names if n in sys.modules]\n"
+        "print(json.dumps([before, after, unbound, star]))\n"
     )
-    before, after, unbound = json.loads(_run_fresh(code))
+    before, after, unbound, star = json.loads(_run_fresh(code))
     assert before == []
     assert after == ["mpmath", "commtuple.precision"]
     assert unbound == []
+    # the oracles belong to the tests: the whole namespace loads without them
+    assert "commtuple.oracles" not in star
 
 
 # a union type carries no __module__
@@ -136,6 +139,7 @@ def test_public_names_resolve():
     for name in commtuple.__all__:
         obj = getattr(commtuple, name)
         module = sys.modules[DEFINED_IN.get(name) or obj.__module__]
+        assert module.__name__ != "commtuple.oracles", name
         assert getattr(module, name) is obj, name
         assert namespace[name] is obj, name
     assert set(dir(commtuple)) >= set(commtuple.__all__)

@@ -19,19 +19,15 @@ from commtuple import (
     curve_saddle_series,
     dressed_residue,
     evaluate_exponent,
-    lagrange_invert,
     lf_data_ntuple,
-    multinomial,
     ntuple_exponent,
     phi_deriv_eval,
     phi_eval,
     rho_numeric,
     saddle_series,
-    two_pole_K,
-    two_pole_K_series,
-    weighted_partitions,
 )
 from commtuple import saddle
+from commtuple.oracles import lagrange_invert, multinomial, two_pole_K, weighted_partitions
 
 
 def curve_saddle_series_lagrange(monomials, terms, ctx):
@@ -255,7 +251,7 @@ def test_two_pole_closed_vs_series(ctx50):
     assert abs(c1 - mp.pi**2 * ctx50.mp.zeta(3) / 3) < mp.mpf("1e-40")
     assert abs(c2 + mp.pi**2 / 12) < mp.mpf("1e-40")
     closed = two_pole_K(2, 1, c1, c2, 5, ctx50)
-    series = two_pole_K_series(2, 1, c1, c2, 5, ctx50)
+    series = curve_saddle_series([(c1, 0, 3), (c2, 1, 2)], 5, ctx50)
     for x, y in zip(closed, series):
         assert abs(x - y) < mp.mpf("1e-40")
     assert closed[2] == 0  # alpha - 2 beta vanishes at (2, 1)
@@ -270,7 +266,7 @@ def test_two_pole_other_exponents(ctx50):
         c1 = mp.mpf(rng.uniform(0.5, 4.0))
         c2 = mp.mpf(rng.uniform(-2.0, 2.0))
         closed = two_pole_K(alpha, beta, c1, c2, 5, ctx50)
-        series = two_pole_K_series(alpha, beta, c1, c2, 5, ctx50)
+        series = curve_saddle_series([(c1, 0, alpha + 1), (c2, 1, beta + 1)], 5, ctx50)
         for x, y in zip(closed, series):
             assert abs(x - y) < mp.mpf("1e-38")
 
@@ -288,8 +284,6 @@ def test_two_pole_guards(ctx50):
         two_pole_K(1, 2, mp.mpf(1), mp.mpf(1), 3, ctx50)
     with pytest.raises(ValueError):
         two_pole_K(2, 1, mp.mpf(1), mp.mpf(1), 6, ctx50)
-    with pytest.raises(ValueError):
-        two_pole_K_series(Fraction(5, 2), 1, mp.mpf(1), mp.mpf(1), 3, ctx50)
 
 
 def test_three_pole_series_leading_term(ctx50):
