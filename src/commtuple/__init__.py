@@ -24,10 +24,8 @@ from .arith import (
     TableExponent,
     divisor_power_sum,
     evaluate_exponent,
-    family_label,
     hnf_subgroup_count,
     is_polygonal,
-    power_value_table,
     subgroup_count_table,
 )
 from .inequalities import (
@@ -83,62 +81,35 @@ _LAZY = {
     "saddle_series": "saddle",
 }
 
-__all__ = [
-    "AsymptoticExpansion",
+__all__ = sorted([
     "BigIntSeq",
-    "ComparisonRow",
     "ExponentSpec",
-    "LSeriesData",
     "PolygonalIndicator",
     "Power",
-    "PrecisionContext",
-    "SaddleExpansion",
     "ScanReport",
     "SubgroupCount",
     "TableExponent",
-    "TruncPoly",
-    "bernoulli_fraction",
     "bessenrodt_ono_scan",
     "brute_force_commuting",
     "commuting_tuple_count",
-    "compare_exact_asym",
-    "curve_saddle_series",
     "divisor_power_sum",
-    "dressed_residue",
-    "estimate_B1",
-    "euler_gamma",
-    "evaluate_expansion",
     "evaluate_exponent",
     "expand_product",
     "expand_product_direct",
-    "expansion",
     "factorial_scaled",
-    "family_label",
     "hnf_subgroup_count",
     "is_polygonal",
-    "lf_data_for",
-    "lf_data_ntuple",
-    "lf_data_power",
     "log_concavity_scan",
     "log_convexity_scan",
     "ntuple_exponent",
     "ntuple_sequence",
     "pentagonal_p",
-    "phi_deriv_eval",
-    "phi_eval",
-    "power_value_table",
     "report_to_json",
-    "rho_numeric",
-    "saddle_series",
     "seq_to_csv",
     "seq_to_json",
     "subgroup_count_table",
     "weighted_divisor_table",
-    "zeta_int",
-    "zeta_nonpos",
-    "zeta_prime_int",
-    "zeta_prime_neg",
-]
+] + list(_LAZY))
 
 
 def __getattr__(name):

@@ -4,8 +4,10 @@ indicators and subgroup counts of free abelian groups.
 Subgroup counts are multiplicative and are filled from a
 smallest-prime-factor sieve, with closed forms at prime powers.
 An exponent spec selects the weight function f attached to the product
-G(q) = prod_{n>=1} (1 - q^n)^{-f(n)}.  All tables are 1-indexed Python
-lists with a zero sentinel stored at index 0.
+G(q) = prod_{n>=1} (1 - q^n)^{-f(n)}.  Each spec class gives its weight
+table (weights), its tag in reports (label) and an exponent D with
+f(m) <= m^D for every m >= 1 (growth; None for a finite table).  All
+tables are 1-indexed Python lists with a zero sentinel stored at index 0.
 """
 
 from __future__ import annotations
@@ -25,6 +27,19 @@ class SubgroupCount:
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
 
+    def weights(self, n_max: int) -> list[int]:
+        return subgroup_count_table(self.rank, n_max) if n_max else [0]
+
+    @property
+    def label(self) -> str:
+        return f"subgroups-rank-{self.rank}"
+
+    @property
+    def growth(self) -> int:
+        # at most n^(rank-1) ordered factorizations, each contributing
+        # at most n^(rank-1)
+        return 2 * (self.rank - 1)
+
 
 @dataclass(frozen=True)
 class Power:
@@ -36,6 +51,17 @@ class Power:
         if self.d < 0:
             raise ValueError("d must be >= 0")
 
+    def weights(self, n_max: int) -> list[int]:
+        return [0] + [n**self.d for n in range(1, n_max + 1)]
+
+    @property
+    def label(self) -> str:
+        return f"power-{self.d}"
+
+    @property
+    def growth(self) -> int:
+        return self.d
+
 
 @dataclass(frozen=True)
 class PolygonalIndicator:
@@ -46,6 +72,15 @@ class PolygonalIndicator:
     def __post_init__(self) -> None:
         if self.k < 3:
             raise ValueError("k must be >= 3")
+
+    def weights(self, n_max: int) -> list[int]:
+        return [0] + [1 if is_polygonal(self.k, n) else 0 for n in range(1, n_max + 1)]
+
+    @property
+    def label(self) -> str:
+        return f"polygonal-{self.k}"
+
+    growth = 0
 
 
 @dataclass(frozen=True)
@@ -59,6 +94,17 @@ class TableExponent:
         if any(v < 0 for v in vals):
             raise ValueError("table values must be >= 0")
         object.__setattr__(self, "values", vals)
+
+    def weights(self, n_max: int) -> list[int]:
+        if len(self.values) < n_max:
+            raise ValueError("table too short for requested range")
+        return [0, *self.values[:n_max]]
+
+    @property
+    def label(self) -> str:
+        return f"table-{len(self.values)}"
+
+    growth = None
 
 
 ExponentSpec = SubgroupCount | Power | PolygonalIndicator | TableExponent
@@ -78,10 +124,6 @@ def divisor_power_sum(m: int, n: int) -> int:
             if e != d:
                 total += e**m
     return total
-
-
-def power_value_table(p: int, n_max: int) -> list[int]:
-    return [0] + [n**p for n in range(1, n_max + 1)]
 
 
 def subgroup_count_table(ell: int, n_max: int) -> list[int]:
@@ -175,29 +217,4 @@ def evaluate_exponent(spec: ExponentSpec, n_max: int) -> list[int]:
     """Weight table (0, f(1), ..., f(n_max)) for an exponent spec."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if isinstance(spec, SubgroupCount):
-        if n_max == 0:
-            return [0]
-        return subgroup_count_table(spec.rank, n_max)
-    if isinstance(spec, Power):
-        return power_value_table(spec.d, n_max)[: n_max + 1]
-    if isinstance(spec, PolygonalIndicator):
-        return [0] + [1 if is_polygonal(spec.k, n) else 0 for n in range(1, n_max + 1)]
-    if isinstance(spec, TableExponent):
-        if len(spec.values) < n_max:
-            raise ValueError("table too short for requested range")
-        return [0] + [spec.values[n - 1] for n in range(1, n_max + 1)]
-    raise TypeError(f"unknown exponent spec {spec!r}")
-
-
-def family_label(spec: ExponentSpec) -> str:
-    """Short stable tag used in reports and CLI output."""
-    if isinstance(spec, SubgroupCount):
-        return f"subgroups-rank-{spec.rank}"
-    if isinstance(spec, Power):
-        return f"power-{spec.d}"
-    if isinstance(spec, PolygonalIndicator):
-        return f"polygonal-{spec.k}"
-    if isinstance(spec, TableExponent):
-        return f"table-{len(spec.values)}"
-    raise TypeError(f"unknown exponent spec {spec!r}")
+    return spec.weights(n_max)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Any
 
-from .arith import ExponentSpec, Power, SubgroupCount, family_label
+from .arith import ExponentSpec, Power, SubgroupCount
 from .precision import PrecisionContext, zeta_int, zeta_nonpos, zeta_prime_neg
 
 
@@ -143,4 +143,4 @@ def lf_data_for(spec: ExponentSpec, ctx: PrecisionContext) -> LSeriesData:
         return lf_data_ntuple(spec.rank + 1, ctx)
     if isinstance(spec, Power):
         return lf_data_power(spec.d, ctx)
-    raise ValueError(f"no L-series data for family {family_label(spec)}")
+    raise ValueError(f"no L-series data for family {spec.label}")

@@ -86,10 +86,10 @@ class PrecisionContext:
         """Absolute tail target: below the last guarded digit."""
         return self.mp.mpf(10) ** (-(self.digits + self.guard))
 
-    def to_str(self, x, digits: int | None = None) -> str:
+    def to_str(self, x) -> str:
         from mpmath import nstr
 
-        return nstr(x, digits or self.digits)
+        return nstr(x, self.digits)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PrecisionContext(digits={self.digits})"

@@ -29,14 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import expm1, gcd, log
 
-from .arith import (
-    ExponentSpec,
-    PolygonalIndicator,
-    Power,
-    SubgroupCount,
-    TableExponent,
-    evaluate_exponent,
-)
+from .arith import ExponentSpec, TableExponent, evaluate_exponent
 from .lfunction import dressed_residue
 from .precision import PrecisionContext
 
@@ -232,21 +225,6 @@ def _grow_weights(spec: ExponentSpec, table: list, upto: int) -> None:
     table[:] = evaluate_exponent(spec, new_len)
 
 
-def _majorant(spec: ExponentSpec):
-    """(A, D) with f(m) <= A m^D for all m >= 1, or None for a finite
-    table.  For rank-r subgroup counts: at most n^{r-1} ordered
-    factorizations, each contributing at most n^{r-1}."""
-    if isinstance(spec, SubgroupCount):
-        return (1, 2 * (spec.rank - 1))
-    if isinstance(spec, Power):
-        return (1, spec.d)
-    if isinstance(spec, PolygonalIndicator):
-        return (1, 0)
-    if isinstance(spec, TableExponent):
-        return None
-    raise TypeError(f"unknown exponent spec {spec!r}")
-
-
 _MAX_TERMS = 10**7
 
 
@@ -255,11 +233,11 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
     table, otherwise the first m >= check_from at which the certified
     bound on every tail past m is below ctx.eps_target().
 
-    With the majorant f(m) <= A m^D, the terms of a sum are at most
-    A m^w u^m (1 - u)^{-k}, u = e^{-z}, where (w, k) is (D + 1, 1) for
+    With f(m) <= m^D, D = spec.growth, the terms of a sum are at most
+    m^w u^m (1 - u)^{-k}, u = e^{-z}, where (w, k) is (D + 1, 1) for
     -Phi' (D, 1 for Phi) and (D + 2, 2) for Phi''.  Their ratios past m
     are at most uhat = e^{w/m} u, so once uhat < 1 the tail past m is at
-    most A (m+1)^w u^{m+1} / (1 - uhat) (1 - u)^{-k}.  From check_from on
+    most (m+1)^w u^{m+1} / (1 - uhat) (1 - u)^{-k}.  From check_from on
     that bound falls with m: (m+1)^w u^{m+1} falls once m + 1 > w/z,
     e^{w/m} u falls with m, and check_from >= 2w/z.  So the test passes
     on a final segment of m.  The same bound in floats, searched by
@@ -269,8 +247,7 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
     ArithmeticError if M would exceed _MAX_TERMS, before any weight is
     computed.
     """
-    maj = _majorant(spec)
-    if maj is None:
+    if spec.growth is None:
         if len(spec.values) > _MAX_TERMS:
             raise ArithmeticError("weight sum failed to converge")
         return len(spec.values)
@@ -278,7 +255,7 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
     u = mp.exp(-z)
     target = ctx.eps_target()
     inv_gap = 1 / (1 - u)
-    w_pow = maj[1] + (0 if mode == "phi" else 1)
+    w_pow = spec.growth + (0 if mode == "phi" else 1)
     # the second sum of mode "newton", checked first as the slower to
     # converge, has one more power of m and of 1/(1 - u)
     tail_pows = ((w_pow + 1, 2), (w_pow, 1)) if mode == "newton" else ((w_pow, 1),)
@@ -289,13 +266,12 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
             uhat = mp.exp(mp.mpf(w) / m) * u
             if not uhat < 1:
                 return False
-            tail = maj[0] * mp.mpf(m + 1) ** w * um * u / (1 - uhat) * inv_gap**k
+            tail = mp.mpf(m + 1) ** w * um * u / (1 - uhat) * inv_gap**k
             if not tail < target:
                 return False
         return True
 
     z_f = float(z)
-    log_a = log(maj[0])
     log_inv_gap = -log(-expm1(-z_f))
     log_target = float(mp.log(target))
 
@@ -304,7 +280,7 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
             x = w / m - z_f
             if x >= 0:
                 return False
-            log_tail = log_a + w * log(m + 1) - z_f * (m + 1) - log(-expm1(x))
+            log_tail = w * log(m + 1) - z_f * (m + 1) - log(-expm1(x))
             if not log_tail + k * log_inv_gap < log_target:
                 return False
         return True
@@ -354,12 +330,12 @@ def _exp_weight_sum(
                        Phi'' = sum_m m^2 f(m) u^m / (1 - u^m)^2,
 
     with u = e^{-z}.  Before the sum runs, _tail_cutoff finds the number
-    M of terms whose tail is certified below eps = ctx.eps_target(): past
-    its check_from the certified tail bound falls with m, so the first m
-    that passes is found by doubling and bisection, not by testing every
-    term.  Terms 1..M are then added in fixed point, as Python ints
-    scaled by 2^P, with no mpf arithmetic per term beyond mode "phi"'s
-    log.
+    M of terms whose tail is certified below eps = ctx.eps_target() from
+    the bound f(m) <= m^D, D = spec.growth: past its check_from that tail
+    bound falls with m, so the first m that passes is found by doubling
+    and bisection, not by testing every term.  Terms 1..M are then added
+    in fixed point, as Python ints scaled by 2^P, with no mpf arithmetic
+    per term beyond mode "phi"'s log.
 
     Error budget, in ulps of 2^-P (f >= 0, F = max f(m) over m <= M):
     - U, the image of u computed at P + 32 bits and truncated, is off by

@@ -30,7 +30,6 @@ from .arith import (
     SubgroupCount,
     TableExponent,
     evaluate_exponent,
-    family_label,
 )
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ def expand_product(spec: ExponentSpec, n_max: int) -> BigIntSeq:
         raise ValueError("n_max must be >= 0")
     f = evaluate_exponent(spec, n_max)
     c = weighted_divisor_table(f)
-    return BigIntSeq(_run_kernel(c, n_max), 0, family_label(spec))
+    return BigIntSeq(_run_kernel(c, n_max), 0, spec.label)
 
 
 def expand_product_direct(spec: ExponentSpec, n_max: int) -> BigIntSeq:
@@ -246,7 +245,7 @@ def expand_product_direct(spec: ExponentSpec, n_max: int) -> BigIntSeq:
                 for j in range(0, (n_max - i) // n + 1):
                     new[i + n * j] += pi * factor[n * j]
         p = new
-    return BigIntSeq(p, 0, family_label(spec))
+    return BigIntSeq(p, 0, spec.label)
 
 
 def pentagonal_p(n_max: int) -> BigIntSeq:

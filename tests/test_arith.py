@@ -16,7 +16,6 @@ from commtuple import (
     evaluate_exponent,
     hnf_subgroup_count,
     is_polygonal,
-    power_value_table,
     subgroup_count_table,
 )
 from commtuple.oracles import dirichlet_convolve
@@ -44,9 +43,9 @@ def test_divisor_power_sum_rejects_bad_args():
 
 
 def test_dirichlet_convolve_examples():
-    one = power_value_table(0, 10)
-    ident = power_value_table(1, 10)
-    sq = power_value_table(2, 10)
+    one = evaluate_exponent(Power(0), 10)
+    ident = evaluate_exponent(Power(1), 10)
+    sq = evaluate_exponent(Power(2), 10)
     assert dirichlet_convolve(one, one)[4] == 3
     assert dirichlet_convolve(one, ident)[6] == 12
     assert dirichlet_convolve(ident, sq)[2] == 6
@@ -80,9 +79,9 @@ def test_subgroup_count_low_rank():
 
 def convolved_subgroup_counts(ell, n_max):
     """Id^0 * Id^1 * ... * Id^(ell-1), one Dirichlet convolution at a time."""
-    table = power_value_table(0, n_max)
+    table = evaluate_exponent(Power(0), n_max)
     for p in range(1, ell):
-        table = dirichlet_convolve(table, power_value_table(p, n_max))
+        table = dirichlet_convolve(table, evaluate_exponent(Power(p), n_max))
     return table
 
 
@@ -159,6 +158,21 @@ def test_evaluate_exponent_families():
     assert evaluate_exponent(SubgroupCount(3), 6) == subgroup_count_table(3, 6)
     t = TableExponent((5, 0, 2))
     assert evaluate_exponent(t, 3) == [0, 5, 0, 2]
+    specs = [SubgroupCount(3), Power(2), PolygonalIndicator(5), t]
+    assert [s.label for s in specs] == [
+        "subgroups-rank-3", "power-2", "polygonal-5", "table-3"]
+    assert [s.growth for s in specs] == [4, 2, 0, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.builds(SubgroupCount, st.integers(1, 7)),
+                 st.builds(Power, st.integers(0, 4)),
+                 st.builds(PolygonalIndicator, st.integers(3, 8))),
+       st.integers(1, 3000))
+def test_weights_below_growth_bound(spec, n_max):
+    # the tail cutoff of saddle._exp_weight_sum rests on f(m) <= m^growth
+    f = evaluate_exponent(spec, n_max)
+    assert all(f[m] <= m**spec.growth for m in range(1, n_max + 1))
 
 
 def test_evaluate_exponent_table_too_short():

@@ -2,6 +2,8 @@
 capture stays exact; the analytic commands also run in a fresh interpreter,
 where they import the analytic modules themselves."""
 
+import contextlib
+import io
 import json
 import os
 import stat
@@ -256,6 +258,14 @@ def test_logconvex_min_n_below_two_rejected(capsys):
         assert err.splitlines()[1:] == ["error: --min-n must be >= 2"]
 
 
+def test_logconcave_min_n_below_one_rejected(capsys):
+    for min_n in ("0", "-3"):
+        rc, out, err = run(capsys, "logconcave", "--family", "ntuple", "--ell", "2",
+                           "--min-n", min_n, "--max-n", "30")
+        assert (rc, out) == (1, "")
+        assert err.splitlines()[1:] == ["error: --min-n must be >= 1"]
+
+
 def test_out_failures(tmp_path, capsys):
     missing = tmp_path / "nodir" / "x.csv"
     rc, out, err = run(capsys, "seq", "--ell", "2", "--max-n", "5",
@@ -398,3 +408,61 @@ def test_table_row_past_str_digit_limit(tmp_path, capsys):
     rc, _, err = run(capsys, "seq", "--family", "table-file", "--table",
                      str(path), "--max-n", "2")
     assert rc == 1 and "bad table row" in err
+
+
+# Byte-identity check: each command's exit status, stderr and stdout are
+# pinned in tests/golden/<name>.txt.  "{golden}" in an argument stands for
+# that directory.  After a deliberate output change, rewrite the files with
+#   PYTHONPATH=src python tests/test_cli.py
+GOLDEN = Path(__file__).with_name("golden")
+GOLDEN_COMMANDS = {
+    "constants-ell2": "constants --ell 2",
+    "constants-ell3": "constants --ell 3",
+    "constants-ell5-digits100": "constants --ell 5 --digits 100",
+    "constants-ell8": "constants --ell 8",
+    "constants-power1-json": "constants --family power --d 1 --format json",
+    "constants-power3-json": "constants --family power --d 3 --format json",
+    "compare-ell3": "compare --ell 3 --points 50,200,1000",
+    "seq-power2": "seq --family power --d 2 --max-n 40",
+    "seq-polygonal5-json": "seq --family polygonal --k 5 --max-n 40 --format json",
+    "seq-table": "seq --family table-file --table {golden}/weights.csv --max-n 20",
+    "gl-ell4": "gl --ell 4 --max-n 30",
+    "bo-power1-text": "bo --family power --d 1 --max-sum 30 --format text",
+    "bo-table": "bo --family table-file --table {golden}/weights.csv --max-sum 20",
+    "logconcave-polygonal3-text":
+        "logconcave --family polygonal --k 3 --max-n 60 --format text",
+    "logconcave-power2": "logconcave --family power --d 2 --max-n 40",
+    "logconcave-table-text":
+        "logconcave --family table-file --table {golden}/weights.csv --max-n 19 "
+        "--format text",
+    "logconvex-ell3-text": "logconvex --ell 3 --max-n 60 --format text",
+    "oracle-direct": "oracle direct --family polygonal --k 4 --max-n 25",
+    "oracle-pentagonal": "oracle pentagonal --max-n 30",
+    "oracle-hnf": "oracle hnf --ell 3 --n 12",
+    "refuse-constants-ell1": "constants --ell 1",
+    "refuse-constants-polygonal": "constants --family polygonal --k 3",
+    "refuse-logconvex-power": "logconvex --family power --d 1 --max-n 20",
+    "refuse-table-too-short":
+        "seq --family table-file --table {golden}/weights.csv --max-n 21",
+}
+
+
+def _golden_text(command: str) -> str:
+    argv = [arg.replace("{golden}", str(GOLDEN)) for arg in command.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return (f"$ commtuple {command}\nexit status: {rc}\n"
+            f"--- stderr\n{err.getvalue()}--- stdout\n{out.getvalue()}")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_output(name):
+    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert _golden_text(GOLDEN_COMMANDS[name]) == want
+
+
+if __name__ == "__main__":
+    for name, command in GOLDEN_COMMANDS.items():
+        (GOLDEN / f"{name}.txt").write_text(_golden_text(command),
+                                            encoding="utf-8", newline="\n")

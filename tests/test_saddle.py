@@ -64,14 +64,13 @@ def _reference_tail(spec, z, ctx, mode):
     """The tail test of exp_weight_sum_reference, or None for a finite
     table: check_from, and a test of (m, u^m) that holds once every
     certified tail bound past m is below ctx.eps_target()."""
-    maj = saddle._majorant(spec)
-    if maj is None:
+    if spec.growth is None:
         return None
     mp = ctx.mp
     u = mp.exp(-z)
     target = ctx.eps_target()
     inv_gap = 1 / (1 - u)
-    w_pow = maj[1] + (0 if mode == "phi" else 1)
+    w_pow = spec.growth + (0 if mode == "phi" else 1)
     tail_pows = ((w_pow + 1, 2), (w_pow, 1)) if mode == "newton" else ((w_pow, 1),)
 
     def passes(m, um):
@@ -79,7 +78,7 @@ def _reference_tail(spec, z, ctx, mode):
             uhat = mp.exp(mp.mpf(w) / m) * u
             if not uhat < 1:
                 return False
-            tail = maj[0] * mp.mpf(m + 1) ** w * um * u / (1 - uhat) * inv_gap**k
+            tail = mp.mpf(m + 1) ** w * um * u / (1 - uhat) * inv_gap**k
             if not tail < target:
                 return False
         return True
