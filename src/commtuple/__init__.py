@@ -22,7 +22,6 @@ from .arith import (
     Power,
     SubgroupCount,
     TableExponent,
-    divisor_power_sum,
     evaluate_exponent,
     hnf_subgroup_count,
     is_polygonal,
@@ -38,7 +37,6 @@ from .inequalities import (
 from .series import (
     BigIntSeq,
     brute_force_commuting,
-    commuting_tuple_count,
     expand_product,
     expand_product_direct,
     factorial_scaled,
@@ -57,7 +55,6 @@ _LAZY = {
     "AsymptoticExpansion": "asymptotics",
     "ComparisonRow": "asymptotics",
     "compare_exact_asym": "asymptotics",
-    "estimate_B1": "asymptotics",
     "evaluate_expansion": "asymptotics",
     "expansion": "asymptotics",
     "LSeriesData": "lfunction",
@@ -75,8 +72,6 @@ _LAZY = {
     "SaddleExpansion": "saddle",
     "TruncPoly": "saddle",
     "curve_saddle_series": "saddle",
-    "phi_deriv_eval": "saddle",
-    "phi_eval": "saddle",
     "rho_numeric": "saddle",
     "saddle_series": "saddle",
 }
@@ -91,8 +86,6 @@ __all__ = sorted([
     "TableExponent",
     "bessenrodt_ono_scan",
     "brute_force_commuting",
-    "commuting_tuple_count",
-    "divisor_power_sum",
     "evaluate_exponent",
     "expand_product",
     "expand_product_direct",

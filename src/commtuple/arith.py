@@ -1,5 +1,5 @@
-"""Arithmetic weight tables: divisor power sums, powers, polygonal
-indicators and subgroup counts of free abelian groups.
+"""Arithmetic weight tables: powers, polygonal indicators and subgroup
+counts of free abelian groups.
 
 Subgroup counts are multiplicative and are filled from a
 smallest-prime-factor sieve, with closed forms at prime powers.
@@ -108,22 +108,6 @@ class TableExponent:
 
 
 ExponentSpec = SubgroupCount | Power | PolygonalIndicator | TableExponent
-
-
-def divisor_power_sum(m: int, n: int) -> int:
-    """sigma_m(n), the sum of d^m over positive divisors d | n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**m
-            e = n // d
-            if e != d:
-                total += e**m
-    return total
 
 
 def subgroup_count_table(ell: int, n_max: int) -> list[int]:

@@ -118,20 +118,3 @@ def compare_exact_asym(
         ratio = ctx.real(exact) / asym
         rows.append(ComparisonRow(n, exact, asym, ratio, ctx.mp.log(ratio)))
     return rows
-
-
-def estimate_B1(seq: BigIntSeq, exp: AsymptoticExpansion, window, ctx: PrecisionContext):
-    """Constant least-squares fit of (exact/asym - 1) n^{1-lambda_1} over
-    the integer window [lo, hi] (at least 10 points): an exploratory
-    estimate of the first missing correction coefficient.  The scaling
-    power 1 - lambda_1 equals 1/(alpha+1)."""
-    lo, hi = window
-    if hi - lo + 1 < 10:
-        raise ValueError("window must contain at least 10 points")
-    scale_expo = 1 - exp.terms[0][1]
-    mp = ctx.mp
-    acc = mp.mpf(0)
-    for n in range(lo, hi + 1):
-        ratio = ctx.real(seq[n]) / evaluate_expansion(exp, n, ctx)
-        acc += (ratio - 1) * ctx.power_frac(ctx.real(n), scale_expo)
-    return acc / (hi - lo + 1)

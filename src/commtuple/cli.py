@@ -122,6 +122,17 @@ def _family_sequence(args: argparse.Namespace, n_max: int) -> BigIntSeq:
     return expand_product(_exponent_spec(args, n_max), n_max)
 
 
+def _analytic_data(args: argparse.Namespace):
+    """The working precision and the family's L-series data (N_1 = 1 has none)."""
+    from .lfunction import lf_data_for
+    from .precision import PrecisionContext
+
+    ctx = PrecisionContext(args.digits)
+    if args.family == "ntuple" and args.ell is not None and args.ell < 2:
+        raise ValueError(f"{args.subcommand} requires --ell >= 2")
+    return ctx, lf_data_for(_exponent_spec(args, 1), ctx)
+
+
 def _expansion(args: argparse.Namespace, data, ctx, saddle=None):
     """The family's expansion, cut to its first --terms terms."""
     from .asymptotics import expansion
@@ -139,9 +150,9 @@ def _fmt_frac(q) -> str:
 
 
 def _emit_seq(seq: BigIntSeq, fmt: str) -> str:
-    if fmt == "json":
-        return seq_to_json(seq)
-    return seq_to_csv(seq)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unsupported format {fmt!r}")
+    return seq_to_json(seq) if fmt == "json" else seq_to_csv(seq)
 
 
 def _cmd_seq(args: argparse.Namespace) -> str:
@@ -161,12 +172,9 @@ def _cmd_gl(args: argparse.Namespace) -> str:
 
 
 def _cmd_constants(args: argparse.Namespace) -> str:
-    from .lfunction import lf_data_for
-    from .precision import PrecisionContext
     from .saddle import saddle_series
 
-    ctx = PrecisionContext(args.digits)
-    data = lf_data_for(_exponent_spec(args, 1), ctx)
+    ctx, data = _analytic_data(args)
     saddle = saddle_series(data, ctx)
     exp = _expansion(args, data, ctx, saddle)
     ks = saddle.K[: len(exp.terms)]
@@ -218,12 +226,9 @@ def _cmd_constants(args: argparse.Namespace) -> str:
 
 def _cmd_compare(args: argparse.Namespace) -> str:
     from .asymptotics import compare_exact_asym
-    from .lfunction import lf_data_for
-    from .precision import PrecisionContext
 
     points = _parse_points(args.points)
-    ctx = PrecisionContext(args.digits)
-    data = lf_data_for(_exponent_spec(args, 1), ctx)
+    ctx, data = _analytic_data(args)
     exp = _expansion(args, data, ctx)
     seq = _family_sequence(args, max(points))
     rows = compare_exact_asym(seq, exp, sorted(points), ctx)
@@ -309,22 +314,18 @@ def _cmd_bo(args: argparse.Namespace) -> str:
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
     op = args.oracle_op
-    if op == "hnf":
+    if op in ("hnf", "commuting"):
         if args.ell is None or args.n is None:
-            raise ValueError("oracle hnf requires --ell and --n")
-        return f"{hnf_subgroup_count(args.ell, args.n)}\n"
-    if op == "commuting":
-        if args.ell is None or args.n is None:
-            raise ValueError("oracle commuting requires --ell and --n")
-        return f"{brute_force_commuting(args.ell, args.n)}\n"
-    if op == "direct":
-        if args.max_n is None:
-            raise ValueError("oracle direct requires --max-n")
-        seq = expand_product_direct(_exponent_spec(args, args.max_n), args.max_n)
-        return _emit_seq(seq, args.fmt or "csv")
+            raise ValueError(f"oracle {op} requires --ell and --n")
+        count = hnf_subgroup_count if op == "hnf" else brute_force_commuting
+        return f"{count(args.ell, args.n)}\n"
     if args.max_n is None:
-        raise ValueError("oracle pentagonal requires --max-n")
-    return _emit_seq(pentagonal_p(args.max_n), args.fmt or "csv")
+        raise ValueError(f"oracle {op} requires --max-n")
+    if op == "direct":
+        seq = expand_product_direct(_exponent_spec(args, args.max_n), args.max_n)
+    else:
+        seq = pentagonal_p(args.max_n)
+    return _emit_seq(seq, args.fmt or "csv")
 
 
 _DISPATCH = {
@@ -464,11 +465,15 @@ def main(argv=None) -> int:
             raise ValueError("--jobs must be >= 1")
         text = _DISPATCH[args.subcommand](args)
         if args.out:
-            _write_out(args.out, text)
+            try:
+                _write_out(args.out, text)
+            except OSError as exc:
+                # name the path given, not a temporary file beside it
+                raise OSError(exc.errno, exc.strerror, args.out) from None
         else:
             sys.stdout.write(text)
-    except (ValueError, ArithmeticError, OSError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, IndexError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

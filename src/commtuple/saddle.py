@@ -18,9 +18,9 @@ All coefficient arithmetic is dense polynomial-in-x truncated at a
 single internal order (J + 2 for J requested terms).  oracles.py holds
 the Lagrange-inversion route that checks it.
 
-rho_numeric solves the untruncated saddle equation by fixed-point
-summation with a proved rounding bound and a certified tail cutoff, and
-serves as the oracle for the series route.
+rho_numeric solves the untruncated saddle equation -Phi'(rho) = n with
+the certified fixed-point sums of _exp_weight_sum (modes "dphi" and
+"newton"), and serves as the oracle for the series route.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import expm1, gcd, log
 
-from .arith import ExponentSpec, TableExponent, evaluate_exponent
+from .arith import ExponentSpec, evaluate_exponent
 from .lfunction import dressed_residue
 from .precision import PrecisionContext
 
@@ -82,9 +82,6 @@ class TruncPoly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, TruncPoly):
             return TruncPoly(self.mp, [a * other for a in self.coeffs], self.order)
@@ -98,9 +95,6 @@ class TruncPoly:
         return TruncPoly(self.mp, out, self.order)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return TruncPoly(self.mp, [a / scalar for a in self.coeffs], self.order)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -213,14 +207,14 @@ def saddle_series(data, ctx: PrecisionContext) -> SaddleExpansion:
     return SaddleExpansion(curve, step, tuple(K))
 
 
-# --- numeric saddle point and Phi sums (oracle route) ---
+# --- numeric saddle point and its weight sums (oracle route) ---
 
 
 def _grow_weights(spec: ExponentSpec, table: list, upto: int) -> None:
     """Refill table with (0, f(1), ..., f(N)), N > upto (capped at the
     length of a finite table), at least doubling its length."""
     new_len = max(64, upto + 1, 2 * len(table))
-    if isinstance(spec, TableExponent):
+    if spec.growth is None:
         new_len = min(new_len, len(spec.values))
     table[:] = evaluate_exponent(spec, new_len)
 
@@ -235,9 +229,9 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
 
     With f(m) <= m^D, D = spec.growth, the terms of a sum are at most
     m^w u^m (1 - u)^{-k}, u = e^{-z}, where (w, k) is (D + 1, 1) for
-    -Phi' (D, 1 for Phi) and (D + 2, 2) for Phi''.  Their ratios past m
-    are at most uhat = e^{w/m} u, so once uhat < 1 the tail past m is at
-    most (m+1)^w u^{m+1} / (1 - uhat) (1 - u)^{-k}.  From check_from on
+    -Phi' and (D + 2, 2) for Phi''.  Their ratios past m are at most
+    uhat = e^{w/m} u, so once uhat < 1 the tail past m is at most
+    (m+1)^w u^{m+1} / (1 - uhat) (1 - u)^{-k}.  From check_from on
     that bound falls with m: (m+1)^w u^{m+1} falls once m + 1 > w/z,
     e^{w/m} u falls with m, and check_from >= 2w/z.  So the test passes
     on a final segment of m.  The same bound in floats, searched by
@@ -255,7 +249,7 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
     u = mp.exp(-z)
     target = ctx.eps_target()
     inv_gap = 1 / (1 - u)
-    w_pow = spec.growth + (0 if mode == "phi" else 1)
+    w_pow = spec.growth + 1
     # the second sum of mode "newton", checked first as the slower to
     # converge, has one more power of m and of 1/(1 - u)
     tail_pows = ((w_pow + 1, 2), (w_pow, 1)) if mode == "newton" else ((w_pow, 1),)
@@ -324,7 +318,6 @@ def _exp_weight_sum(
 ):
     """Certified exponential-weight sums
 
-        mode "phi":    sum_m f(m) * (-log(1 - u^m))        (this is Phi)
         mode "dphi":   sum_m m f(m) u^m / (1 - u^m)        (this is -Phi')
         mode "newton": the pair (-Phi', Phi''), with
                        Phi'' = sum_m m^2 f(m) u^m / (1 - u^m)^2,
@@ -334,8 +327,7 @@ def _exp_weight_sum(
     the bound f(m) <= m^D, D = spec.growth: past its check_from that tail
     bound falls with m, so the first m that passes is found by doubling
     and bisection, not by testing every term.  Terms 1..M are then added
-    in fixed point, as Python ints scaled by 2^P, with no mpf arithmetic
-    per term beyond mode "phi"'s log.
+    in fixed point, as Python ints scaled by 2^P, with no per-term mpf.
 
     Error budget, in ulps of 2^-P (f >= 0, F = max f(m) over m <= M):
     - U, the image of u computed at P + 32 bits and truncated, is off by
@@ -349,10 +341,7 @@ def _exp_weight_sum(
       [g/2, 3g/2].  With v = u^m <= 1 off by less than 3m:
         m f v / g       is off by m f (6m/g + 6m/g^2) <= 12 m^2 f / g^2,
         m^2 f v / g^2   by m^2 f (12m/g^2 + 36m/g^3) <= 48 m^3 f / g^3,
-      plus 1 for the floor division that forms each, and
-        -f log g        by f (6m/g + 2): the log of the exact g' at
-                        P + 32 bits errs by |log g'| 2^-31 < 1 (as
-                        |log g'| < P), and truncating it adds 1.
+      plus 1 for the floor division that forms each.
     - With sum_{m <= M} m^k <= M^{k+1}, every sum is off by less than
       C = 48 F M^4 / g_1^3 + 2M.  P = bit_length(C) + 1 - e, with
       eps >= 2^(e-1), gives C 2^-P < eps, and with it 6 M 2^-P <= g_1.
@@ -364,7 +353,7 @@ def _exp_weight_sum(
     index M; passing the same list to several calls for one spec
     reuses it.
     """
-    if mode not in ("phi", "dphi", "newton"):
+    if mode not in ("dphi", "newton"):
         raise ValueError(f"unknown mode {mode!r}")
     mp = ctx.mp
     z = ctx.real(z)
@@ -390,25 +379,12 @@ def _exp_weight_sum(
             if not fm:
                 continue
             gap = one - um
-            if mode == "phi":
-                total -= fm * int(mp.ldexp(mp.log(mp.ldexp(gap, -P)), P))
-                continue
             num = m * fm * um
             total += (num << P) // gap
             if mode == "newton":
                 total2 += (m * num << 2 * P) // (gap * gap)
     total = mp.ldexp(total, -P)
     return (total, mp.ldexp(total2, -P)) if mode == "newton" else total
-
-
-def phi_eval(spec: ExponentSpec, z, ctx: PrecisionContext):
-    """Phi(z) = sum_{m,j} f(m) e^{-z m j} / j = -sum_m f(m) log(1 - e^{-mz})."""
-    return _exp_weight_sum(spec, z, ctx, "phi")
-
-
-def phi_deriv_eval(spec: ExponentSpec, z, ctx: PrecisionContext):
-    """Phi'(z) = -sum_m m f(m) e^{-mz} / (1 - e^{-mz})."""
-    return -_exp_weight_sum(spec, z, ctx, "dphi")
 
 
 def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
@@ -427,7 +403,7 @@ def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(spec, TableExponent) and not any(spec.values):
+    if spec.growth is None and not any(spec.values):
         raise ValueError("weight is identically zero")
     mp = ctx.mp
     nn = mp.mpf(n)

@@ -292,16 +292,6 @@ def ntuple_sequence(ell: int, n_max: int) -> BigIntSeq:
     return BigIntSeq(seq.values, 0, f"ntuple-{ell}")
 
 
-def commuting_tuple_count(ell: int, n: int) -> int:
-    """n! N_ell(n): pairwise-commuting ell-tuples of permutations.
-
-    Each call rebuilds the whole sequence N_ell(0..n); for several n, take
-    the values from one ntuple_sequence(ell, n_max) instead."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return factorial(n) * ntuple_sequence(ell, n)[n]
-
-
 def factorial_scaled(seq: BigIntSeq) -> BigIntSeq:
     """(n! a_n) for a sequence indexed from its offset."""
     out = []

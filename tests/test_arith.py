@@ -1,4 +1,4 @@
-"""Divisor sums, Dirichlet convolution, subgroup counts and the
+"""Weight tables, Dirichlet convolution, subgroup counts and the
 Hermite-form oracle."""
 
 import random
@@ -12,7 +12,6 @@ from commtuple import (
     Power,
     SubgroupCount,
     TableExponent,
-    divisor_power_sum,
     evaluate_exponent,
     hnf_subgroup_count,
     is_polygonal,
@@ -23,23 +22,6 @@ from commtuple.oracles import dirichlet_convolve
 
 def naive_sigma(m, n):
     return sum(d**m for d in range(1, n + 1) if n % d == 0)
-
-
-def test_divisor_power_sum_small():
-    assert divisor_power_sum(1, 6) == 12
-    assert divisor_power_sum(1, 1) == 1
-    assert divisor_power_sum(2, 4) == 21
-    for n in range(1, 200):
-        assert divisor_power_sum(0, n) == naive_sigma(0, n)
-        assert divisor_power_sum(1, n) == naive_sigma(1, n)
-        assert divisor_power_sum(3, n) == naive_sigma(3, n)
-
-
-def test_divisor_power_sum_rejects_bad_args():
-    with pytest.raises(ValueError):
-        divisor_power_sum(1, 0)
-    with pytest.raises(ValueError):
-        divisor_power_sum(-1, 5)
 
 
 def test_dirichlet_convolve_examples():
@@ -71,7 +53,7 @@ def test_dirichlet_convolve_length_mismatch():
 
 def test_subgroup_count_low_rank():
     assert subgroup_count_table(1, 20)[1:] == [1] * 20
-    sig = [divisor_power_sum(1, n) for n in range(1, 501)]
+    sig = [naive_sigma(1, n) for n in range(1, 501)]
     assert subgroup_count_table(2, 500)[1:] == sig
     g3 = subgroup_count_table(3, 8)
     assert g3[1:7] == [1, 7, 13, 35, 31, 91]

@@ -19,7 +19,6 @@ from commtuple import (
     TruncPoly,
     compare_exact_asym,
     dressed_residue,
-    estimate_B1,
     evaluate_expansion,
     SaddleExpansion,
     expansion,
@@ -272,27 +271,23 @@ def test_compare_rejects_nonpositive(ctx50):
         compare_exact_asym(seq, exp, [1], ctx50)
 
 
-def test_estimate_B1_synthetic_zero(ctx50):
-    # a sequence manufactured from the expansion itself has no first
-    # correction, so the fitted coefficient collapses to rounding noise
-    mp = ctx50.mp
+def test_pair_family_correction_windows(ctx50, p_10k):
+    # exact/asym - 1 decays as n^{-1/2} = n^{lambda_1 - 1}: its mean
+    # scaled by n^{1/2} over two windows is the same negative constant
     exp = expansion(lf_data_ntuple(2, ctx50), ctx50)
-    vals = tuple(
-        int(mp.nint(evaluate_expansion(exp, n, ctx50))) for n in range(300, 341)
-    )
-    seq = BigIntSeq(vals, offset=300, label="synthetic")
-    est = estimate_B1(seq, exp, (300, 340), ctx50)
-    assert abs(est) < mp.mpf("1e-6")
+    scale_expo = 1 - exp.terms[0][1]
 
+    def scaled_correction(lo, hi):
+        acc = ctx50.mp.mpf(0)
+        for n in range(lo, hi + 1):
+            ratio = ctx50.real(p_10k[n]) / evaluate_expansion(exp, n, ctx50)
+            acc += (ratio - 1) * ctx50.power_frac(ctx50.real(n), scale_expo)
+        return acc / (hi - lo + 1)
 
-def test_estimate_B1_pair_family_windows(ctx50, p_10k):
-    exp = expansion(lf_data_ntuple(2, ctx50), ctx50)
-    lo = estimate_B1(p_10k, exp, (2000, 3000), ctx50)
-    hi = estimate_B1(p_10k, exp, (4000, 5000), ctx50)
+    lo = scaled_correction(2000, 3000)
+    hi = scaled_correction(4000, 5000)
     assert abs(lo - hi) <= 0.1 * min(abs(lo), abs(hi))
     assert lo < 0 and hi < 0
-    with pytest.raises(ValueError):
-        estimate_B1(p_10k, exp, (100, 105), ctx50)
 
 
 def test_two_pole_past_five_terms(ctx50):

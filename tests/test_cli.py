@@ -18,6 +18,7 @@ import mpmath
 import pytest
 
 from commtuple import factorial_scaled, log_convexity_scan, ntuple_sequence
+from commtuple import cli
 from commtuple.cli import _scan_output, main
 
 
@@ -272,8 +273,9 @@ def test_out_failures(tmp_path, capsys):
                        "--out", str(missing))
     assert rc == 1
     assert out == ""
-    assert len(err.splitlines()) == 2
-    assert err.splitlines()[-1].startswith("error: ")
+    # the error names the path given, not the temporary file beside it
+    assert err.splitlines()[1:] == [
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}"]
     assert not missing.parent.exists()
     # a directory cannot be replaced by the output file: no partial or
     # temporary file is left beside it
@@ -294,6 +296,33 @@ def test_out_failures(tmp_path, capsys):
     assert rc == 0
     assert kept.read_text(encoding="utf-8") == "n,value\n0,1\n1,1\n2,2\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "taken"]
+
+
+def test_sequence_commands_refuse_text_format(capsys):
+    for cmd in (["seq", "--ell", "2", "--max-n", "5"], ["gl", "--ell", "2", "--max-n", "5"],
+                ["oracle", "direct", "--ell", "2", "--max-n", "5"],
+                ["oracle", "pentagonal", "--max-n", "5"]):
+        rc, out, err = run(capsys, *cmd, "--format", "text")
+        assert (rc, out) == (1, "")
+        assert err.splitlines()[1:] == ["error: unsupported format 'text'"]
+
+
+def test_analytic_commands_refuse_ell_below_two(capsys):
+    for cmd in ("constants", "compare"):
+        for ell in ("1", "0"):
+            rc, out, err = run(capsys, cmd, "--ell", ell)
+            assert (rc, out) == (1, "")
+            assert err.splitlines()[1:] == [f"error: {cmd} requires --ell >= 2"]
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(ell, n_max):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ntuple_sequence", exhausted)
+    rc, out, err = run(capsys, "seq", "--ell", "2", "--max-n", "10")
+    assert (rc, out) == (1, "")
+    assert err.splitlines()[1:] == ["error: MemoryError"]
 
 
 def test_out_targets_kept(tmp_path, capsys):

@@ -149,6 +149,17 @@ def test_public_names_resolve():
         commtuple.no_such_name
 
 
+# library functions that only tests called; hasattr goes through
+# __getattr__, so an entry left in _LAZY alone would show here too
+DELETED = ("phi_eval", "phi_deriv_eval", "estimate_B1", "commuting_tuple_count",
+           "divisor_power_sum")
+
+
+def test_deleted_names_stay_gone():
+    assert [name for name in DELETED if hasattr(commtuple, name)] == []
+    assert len(commtuple.__all__) == 47
+
+
 def _annotated(module):
     """The module-level functions and the class methods defined in module."""
     for obj in vars(module).values():

@@ -21,8 +21,6 @@ from commtuple import (
     evaluate_exponent,
     lf_data_ntuple,
     ntuple_exponent,
-    phi_deriv_eval,
-    phi_eval,
     rho_numeric,
     saddle_series,
 )
@@ -89,7 +87,8 @@ def _reference_tail(spec, z, ctx, mode):
 def exp_weight_sum_reference(spec, z, ctx, mode):
     """Oracle for saddle._exp_weight_sum: the same sums, one term at a
     time in mpf, with the gap from -expm1(-mz) while m < ceil(1/z), and
-    the tail test on every term from check_from on."""
+    the tail test on every term from check_from on.  Mode "phi", which
+    production has no use for, gives Phi(z) = -sum_m f(m) log(1 - e^{-mz})."""
     mp = ctx.mp
     z = ctx.real(z)
     u = mp.exp(-z)
@@ -395,11 +394,15 @@ def test_phi_closed_form(ctx50):
     for zv in ("0.3", "1.1"):
         z = mp.mpf(zv)
         want = -mp.log(1 - mp.exp(-z))
-        assert abs(phi_eval(delta, z, ctx50) - want) < mp.mpf("1e-48")
-    assert phi_deriv_eval(delta, mp.mpf("0.5"), ctx50) < 0
-    assert phi_deriv_eval(SubgroupCount(2), mp.mpf("0.5"), ctx50) < 0
-    with pytest.raises(ValueError):
-        phi_eval(delta, mp.mpf(0), ctx50)
+        got = exp_weight_sum_reference(delta, z, ctx50, "phi")
+        assert abs(got - want) < mp.mpf("1e-48")
+    # -Phi' > 0
+    assert saddle._exp_weight_sum(delta, mp.mpf("0.5"), ctx50, "dphi") > 0
+    assert saddle._exp_weight_sum(SubgroupCount(2), mp.mpf("0.5"), ctx50, "dphi") > 0
+    with pytest.raises(ValueError, match="z must be positive"):
+        saddle._exp_weight_sum(delta, mp.mpf(0), ctx50, "dphi")
+    with pytest.raises(ValueError, match="unknown mode 'phi'"):
+        saddle._exp_weight_sum(delta, mp.mpf("0.5"), ctx50, "phi")
 
 
 def test_phi_laurent_agreement(ctx50):
@@ -417,7 +420,8 @@ def test_phi_laurent_agreement(ctx50):
             nu = int(pole)
             laurent += dressed_residue((pole, res), ctx50) / nu * z**-nu
         laurent += -ctx50.real(data.l_at_zero) * mp.log(z) + data.l_prime_at_zero
-        assert abs(phi_eval(spec, z, ctx50) - laurent) < mp.mpf(bound)
+        phi = exp_weight_sum_reference(spec, z, ctx50, "phi")
+        assert abs(phi - laurent) < mp.mpf(bound)
 
 
 def test_three_pole_series_against_lagrange_oracle(ctx50):
@@ -469,7 +473,7 @@ def test_rho_numeric_solves_saddle_equation(spec, n):
     ctx = PrecisionContext(50)
     rho = rho_numeric(spec, n, ctx)
     assert rho > 0
-    residual = -phi_deriv_eval(spec, rho, ctx) - n
+    residual = saddle._exp_weight_sum(spec, rho, ctx, "dphi") - n
     assert abs(residual) <= ctx.mp.mpf(10) ** -ctx.digits * n
 
 
@@ -509,7 +513,7 @@ def weight_sum_cases(draw):
     ))
     low = -3 if isinstance(spec, TableExponent) else -2
     z = 10 ** draw(st.floats(low, 0.6))
-    return spec, z, draw(st.sampled_from(["phi", "dphi", "newton"]))
+    return spec, z, draw(st.sampled_from(["dphi", "newton"]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -537,7 +541,7 @@ def test_weight_sum_matches_reference(case):
               st.builds(SubgroupCount, st.integers(1, 5)),
               st.builds(PolygonalIndicator, st.integers(3, 6))),
     st.floats(-2, 1),
-    st.sampled_from(["phi", "dphi", "newton"]),
+    st.sampled_from(["dphi", "newton"]),
 )
 def test_tail_cutoff_matches_linear_scan(spec, log_z, mode):
     ctx = PrecisionContext(50)
@@ -570,7 +574,7 @@ def test_tail_cutoff_when_the_float_estimate_misses(monkeypatch, bias, mode):
     assert len(searches) == 2 * len(zs)
 
 
-@pytest.mark.parametrize("mode", ["phi", "dphi", "newton"])
+@pytest.mark.parametrize("mode", ["dphi", "newton"])
 def test_hopeless_weight_sum_fails_before_any_weight(monkeypatch, mode):
     # at z = 1e-6 the tail falls below 1e-60 only past m = 10^8
     def refuse(spec, table, upto):
