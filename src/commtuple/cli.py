@@ -127,6 +127,8 @@ def _analytic_data(args: argparse.Namespace):
     from .lfunction import lf_data_for
     from .precision import PrecisionContext
 
+    if args.digits < 50:
+        raise ValueError("--digits must be >= 50")
     ctx = PrecisionContext(args.digits)
     if args.family == "ntuple" and args.ell is not None and args.ell < 2:
         raise ValueError(f"{args.subcommand} requires --ell >= 2")
@@ -321,6 +323,8 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
         return f"{count(args.ell, args.n)}\n"
     if args.max_n is None:
         raise ValueError(f"oracle {op} requires --max-n")
+    if args.max_n < 0:
+        raise ValueError("--max-n must be >= 0")
     if op == "direct":
         seq = expand_product_direct(_exponent_spec(args, args.max_n), args.max_n)
     else:

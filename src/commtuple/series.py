@@ -7,13 +7,16 @@ with p(0) = 1, and every division by n is exact; the divmod check in
 the kernel doubles as an integrality witness for each computed row.
 This recurrence is the hot path of the whole package.  The kernel
 `_run_kernel` solves the rows by divide and conquer: the share of a
-solved left half in every row of the right half is one product of two
-polynomials, which it forms by Kronecker substitution in stdlib
-`decimal` (libmpdec multiplies large operands by number-theoretic
-transform, where Python `int` has only Karatsuba), and short row
-ranges are finished by dot products.  The packed sums hold only while
-every c(k) >= 0, which every ExponentSpec gives (its weights f are
-non-negative), so the kernel refuses a negative c(k).
+solved left half in every row of the right half is a product of two
+polynomials per piece of _SLICE digits of the left rows, each formed by
+Kronecker substitution in stdlib `decimal` (libmpdec multiplies large
+operands by number-theoretic transform, where Python `int` has only
+Karatsuba), and short row ranges are finished by dot products.  Piece
+j spans only the rows from the first one that has it, so the products
+cover about the area under the table's digit curve rather than its
+bounding box.  The packed sums hold only while every c(k) >= 0, which
+every ExponentSpec gives (its weights f are non-negative), so the
+kernel refuses a negative c(k).
 `oracles.expand_kernel` is the plain row-by-row oracle, signed c
 included.
 """
@@ -139,10 +142,12 @@ def _dec_int(d: Decimal) -> int:
 
 # most rows a leaf finishes by one dot product each: a larger range
 # splits, so every left half of a cross term holds at least 96 rows,
-# enough for a Kronecker product to beat dot products; most left rows
-# packed into one product, which bounds its memory
+# enough for a Kronecker product to beat dot products; digits of one
+# piece of a left row, a cross term making one product per piece: of
+# 150, 300 and 600, 300 built N_4 and N_5 to 10^4 fastest, and keeps
+# N_2 and N_3 to 3000 (up to 209 digits) in one piece
 _LEAF = 191
-_CHUNK = 512
+_SLICE = 300
 
 
 class _Expansion:
@@ -178,12 +183,21 @@ class _Expansion:
 
     def cross(self, l: int, mid: int, r: int) -> None:
         """Add sum_{i in [l, mid)} p(i) c(n-i) to row n for n in [mid, r)."""
-        for a in range(l, mid, _CHUNK):
-            b = min(a + _CHUNK, mid)
-            # rows a..b-1 meet c(mid-b+1..r-1-a); row n is coefficient n-mid+b-a-1
-            shares = _middle_product(self.dp[a:b], self.dc[mid - b + 1 : r - a], r - mid)
+        pieces = []
+        for d in self.dp[l:mid]:
+            row: list[Decimal] = []
+            _unpack(d, d.adjusted() // _SLICE + 1, _SLICE, row)
+            pieces.append(row)
+        zero = Decimal(0)
+        for j in range(max(map(len, pieces))):
+            # piece j of rows l+a..mid-1 (0 for a row too short to have
+            # one), l+a the first row that has one; they meet
+            # c(1..r-1-l-a), and row n is coefficient n-l-a-1
+            a = next(i for i, row in enumerate(pieces) if len(row) > j)
+            xs = [row[j] if len(row) > j else zero for row in pieces[a:]]
+            shares = _middle_product(xs, self.dc[1 : r - l - a], r - mid)
             for n, share in enumerate(shares, mid):
-                self.dacc[n] += share
+                self.dacc[n] += share.scaleb(j * _SLICE)
 
 
 def _run_kernel(c: list[int], n_max: int) -> list[int]:
@@ -194,13 +208,17 @@ def _run_kernel(c: list[int], n_max: int) -> list[int]:
     row n in [mid, r) is added to that row's accumulator, then the right
     half is solved.  A leaf of at most _LEAF rows finishes each row with
     one dot product over the rows of the leaf before it.  A cross term
-    is one Kronecker product per _CHUNK left rows (_middle_product): the
-    rows and the c(k) they meet are packed into the slots of one Decimal
-    each, libmpdec multiplies the two by number-theoretic transform, and
-    each slot of the wanted range of the product is the share of one
-    row.  A negative c(k), whose sums could borrow across slots, raises
-    ValueError before any row is solved.  Every row is divided exactly
-    by n, or ArithmeticError rejects the table.  The decimal work runs
+    cuts each left row once into base-10^_SLICE pieces and makes one
+    Kronecker product per piece j (_middle_product): piece j of the rows
+    from the first one that has it (a later, shorter row gives 0) and
+    the c(k) they meet are packed into the slots of one Decimal each,
+    libmpdec multiplies the two by number-theoretic transform, and each
+    slot of the wanted range of the product is piece j's share of one
+    row, added to it times 10^(j _SLICE).  A table whose rows all stay
+    under _SLICE digits makes one product per cross term.  A negative
+    c(k), whose sums could borrow across slots, raises ValueError before
+    any row is solved.  Every row is divided exactly by n, or
+    ArithmeticError rejects the table.  The decimal work runs
     in a private context with the largest precision and exponent range,
     so every operation is exact; the caller's context is left as it was.
     """

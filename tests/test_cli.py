@@ -13,12 +13,15 @@ import threading
 from decimal import Decimal
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commtuple import factorial_scaled, log_convexity_scan, ntuple_sequence
-from commtuple import cli
+from commtuple import cli, series
 from commtuple.cli import _scan_output, main
 
 
@@ -315,6 +318,18 @@ def test_analytic_commands_refuse_ell_below_two(capsys):
             assert err.splitlines()[1:] == [f"error: {cmd} requires --ell >= 2"]
 
 
+@pytest.mark.parametrize("command, error", [
+    ("oracle pentagonal --max-n -1", "--max-n must be >= 0"),
+    ("oracle direct --ell 2 --max-n -1", "--max-n must be >= 0"),
+    ("constants --ell 2 --digits 0", "--digits must be >= 50"),
+    ("compare --ell 2 --digits 49 --points 10", "--digits must be >= 50"),
+], ids=["pentagonal-max-n", "direct-max-n", "constants-digits", "compare-digits"])
+def test_refusals_name_the_flag(capsys, command, error):
+    rc, out, err = run(capsys, *command.split())
+    assert (rc, out) == (1, "")
+    assert err.splitlines()[1:] == [f"error: {error}"]
+
+
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
     def exhausted(ell, n_max):
         raise MemoryError
@@ -439,11 +454,93 @@ def test_table_row_past_str_digit_limit(tmp_path, capsys):
     assert rc == 1 and "bad table row" in err
 
 
+# Flags each subcommand takes (--out aside): the ones most runs need to
+# get past argparse and the family lookup, then the others.  The values
+# drawn are small ranges around each bound, so no table passes a few
+# hundred rows; compare always keeps --points, whose default reaches 10^4.
+GOLDEN = Path(__file__).with_name("golden")
+_FAMILY_IO_FLAGS = ("--family", "--d", "--k", "--table", "--format")
+_SUBCOMMAND_FLAGS = {
+    "seq": (("--ell", "--max-n"), _FAMILY_IO_FLAGS),
+    "gl": (("--ell", "--max-n"), ("--format",)),
+    "constants": (("--ell",), _FAMILY_IO_FLAGS + ("--digits", "--terms")),
+    "compare": (("--ell", "--points"), _FAMILY_IO_FLAGS + ("--digits", "--terms")),
+    "logconcave": (("--ell", "--max-n"), _FAMILY_IO_FLAGS + ("--min-n", "--jobs")),
+    "bo": (("--ell", "--max-sum"), _FAMILY_IO_FLAGS + ("--jobs",)),
+    "logconvex": (("--ell", "--max-n"), _FAMILY_IO_FLAGS + ("--min-n", "--jobs")),
+    "oracle": ((), _FAMILY_IO_FLAGS + ("--ell", "--n", "--max-n")),
+}
+_FLAG_VALUES = {
+    "--family": st.sampled_from(["ntuple", "power", "polygonal", "table-file", "dual"]),
+    "--ell": st.integers(-1, 5),
+    "--d": st.integers(-1, 5),
+    "--k": st.integers(1, 8),
+    "--table": st.sampled_from([GOLDEN / "weights.csv", GOLDEN / "missing.csv",
+                                GOLDEN, GOLDEN / "oracle-hnf.txt"]),
+    "--format": st.sampled_from(["csv", "json", "text", "yaml"]),
+    "--max-n": st.integers(-2, 60),
+    "--min-n": st.integers(-1, 8),
+    "--max-sum": st.integers(-1, 40),
+    "--digits": st.sampled_from([0, 49, 50, 60]),
+    "--terms": st.integers(-1, 6),
+    "--points": st.sampled_from(["5,30", "1", "60,2", "12", "0", "x", "3,,4"]),
+    "--jobs": st.integers(-1, 3),
+    "--n": st.integers(-1, 5),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and its flags; one run in ten each drops a flag, adds
+    one the subcommand does not take, or gives a value that is no number."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    argv = [command]
+    if command == "oracle":
+        argv.append(draw(st.sampled_from(["hnf", "commuting", "direct", "pentagonal",
+                                          "brute"])))
+    needed, others = _SUBCOMMAND_FLAGS[command]
+    flags = [*needed, *draw(st.lists(st.sampled_from(others), unique=True))]
+    if draw(st.integers(0, 9)) == 0 and len(flags) > 1:
+        flags.remove(draw(st.sampled_from([f for f in flags if f != "--points"])))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_FLAG_VALUES))))
+    for flag in flags:
+        argv += [flag, str(draw(_FLAG_VALUES[flag]))]
+    if draw(st.integers(0, 9)) == 0 and len(argv) > 2:
+        argv[-1] = "x"
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_any_argv_ends_in_a_result_or_one_error_line(argv):
+    run_kernel = series._run_kernel
+
+    def bounded(c, n_max):
+        assert n_max <= 300, "a table past a few hundred rows"
+        return run_kernel(c, n_max)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(series, "_run_kernel", bounded), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2  # argparse refused argv
+            return
+    lines = err.getvalue().splitlines()
+    assert lines[0] == f"commtuple {cli.__version__}"
+    if rc == 0:
+        assert lines[1:] == [] and out.getvalue()
+    else:
+        assert rc == 1 and out.getvalue() == ""
+        assert len(lines) == 2 and lines[1].startswith("error: ")
+
+
 # Byte-identity check: each command's exit status, stderr and stdout are
 # pinned in tests/golden/<name>.txt.  "{golden}" in an argument stands for
 # that directory.  After a deliberate output change, rewrite the files with
 #   PYTHONPATH=src python tests/test_cli.py
-GOLDEN = Path(__file__).with_name("golden")
 GOLDEN_COMMANDS = {
     "constants-ell2": "constants --ell 2",
     "constants-ell3": "constants --ell 3",

@@ -1,6 +1,7 @@
 """Product expansions, the pentagonal and brute-force oracles, and the
 sequence container."""
 
+import hashlib
 import json
 import math
 import random
@@ -201,6 +202,40 @@ def test_integrality_witness_in_production_kernel(k, n_max, monkeypatch):
     c[k] += 1
     with pytest.raises(ArithmeticError, match=f"at n={k}$"):
         _run_kernel(c, n_max)
+
+
+def test_integrality_witness_through_high_pieces(monkeypatch):
+    # f(2) = 10^40: p(n) is 0 for odd n and binom(10^40 + n/2 - 1, n/2)
+    # for even n, so the root cross term (left rows 0..199) cuts rows of
+    # up to 3805 digits into pieces and pads the zero rows between them
+    n_max = 400
+    c = weighted_divisor_table([0, 0, 10**40] + [0] * (n_max - 2))
+    p = _run_kernel(c, n_max)
+    assert p == expand_kernel(c, n_max)
+    assert p[199] == 0 and len(str(p[198])) > 3 * series._SLICE
+    cross = series._Expansion.cross
+    for piece in (1, 2):
+        # a 1 in piece 1 or 2 of row 199's copy meets row 201 through
+        # c(2) = 2 10^40 alone, and 201 divides no 2 10^m
+        def corrupt(self, l, mid, r, piece=piece):
+            if (l, mid) == (0, 200):
+                self.dp[199] += Decimal(10) ** (piece * series._SLICE)
+            cross(self, l, mid, r)
+
+        monkeypatch.setattr(series._Expansion, "cross", corrupt)
+        with pytest.raises(ArithmeticError, match="at n=201$"):
+            _run_kernel(c, n_max)
+
+
+@pytest.mark.parametrize("ell, n_max, serialise, digest", [
+    (5, 3000, seq_to_csv, "08163f71ffbd28f04cd777fe344f68907c629edf2e884e9a544c7abb93fb7e70"),
+    (8, 2800, seq_to_json, "062d286b516e56a082066aa2bb08b734830ed81592674de97936032a9199aa9c"),
+], ids=["N5-csv", "N8-json"])
+def test_wide_table_bytes(ell, n_max, serialise, digest):
+    # the tables-wide benchmark's outputs, rows of up to about 6000 bits,
+    # pinned byte for byte; tests/golden/ holds only small tables
+    text = serialise(ntuple_sequence(ell, n_max))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def commuting_count(ell, n):
