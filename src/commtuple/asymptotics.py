@@ -37,12 +37,14 @@ from .series import BigIntSeq
 @dataclass(frozen=True)
 class AsymptoticExpansion:
     """C n^{-b} exp(sum A_k n^{lambda_k}) with exponents strictly
-    decreasing inside [0, 1) and b an exact rational."""
+    decreasing inside [0, 1) and b an exact rational; saddle is the
+    saddle series the A_k were assembled from."""
 
     family: str
     C: Any
     b: Fraction
     terms: tuple[tuple[Any, Fraction], ...]
+    saddle: SaddleExpansion
 
     def __post_init__(self) -> None:
         lams = [lam for _, lam in self.terms]
@@ -52,19 +54,11 @@ class AsymptoticExpansion:
             raise ValueError("exponents must strictly decrease")
 
 
-def expansion(
-    data: LSeriesData, ctx: PrecisionContext, saddle: SaddleExpansion | None = None
-) -> AsymptoticExpansion:
-    """C, b and A_1..A_J of a family with integer poles; saddle, if given,
-    is saddle_series(data, ctx) or another series of its curve with at
-    least J terms."""
-    if saddle is None:
-        saddle = saddle_series(data, ctx)
-    elif [q - 1 for _, _, q in saddle.curve] != [nu for nu, _ in data.poles]:
-        raise ValueError("saddle series of other pole data")
+def expansion(data: LSeriesData, ctx: PrecisionContext) -> AsymptoticExpansion:
+    """C, b and A_1..A_J of a family with integer poles, together with
+    saddle_series(data, ctx), the series they come from."""
+    saddle = saddle_series(data, ctx)
     J = saddle.expansion_terms
-    if len(saddle.K) < J:
-        raise ValueError(f"saddle series needs {J} terms")
     K, ell, mp = saddle.K, saddle.ell, ctx.mp
     d = TruncPoly(mp, K, J - 1).inverse()
     powers = [(c, p, q - 1, d ** (q - 1)) for c, p, q in saddle.curve]
@@ -82,7 +76,7 @@ def expansion(
         * ctx.power_frac(saddle.curve[0][0], (Fraction(1, 2) - l_zero) / (alpha + 1))
         / mp.sqrt(2 * mp.pi * ctx.real(alpha + 1))
     )
-    return AsymptoticExpansion(data.family, C, b, tuple(a_terms))
+    return AsymptoticExpansion(data.family, C, b, tuple(a_terms), saddle)
 
 
 def evaluate_expansion(exp: AsymptoticExpansion, n: int, ctx: PrecisionContext):

@@ -18,6 +18,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import stat
@@ -96,30 +97,33 @@ def _read_table(path: str) -> TableExponent:
     return TableExponent(tuple(rows[n] for n in range(1, top + 1)))
 
 
+def _family_flag(args: argparse.Namespace, name: str, least: int) -> int:
+    """The value of the family's flag --name, which must be given and >= least."""
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"--family {args.family} requires --{name}")
+    if value < least:
+        raise ValueError(f"--{name} must be >= {least}")
+    return value
+
+
 def _exponent_spec(args: argparse.Namespace, n_hint: int):
     if args.family == "ntuple":
-        if args.ell is None:
-            raise ValueError("--family ntuple requires --ell")
-        return ntuple_exponent(args.ell, n_hint)
+        return ntuple_exponent(_family_flag(args, "ell", 1), n_hint)
     if args.family == "power":
-        if args.d is None:
-            raise ValueError("--family power requires --d")
-        return Power(args.d)
+        return Power(_family_flag(args, "d", 0))
     if args.family == "polygonal":
-        if args.k is None:
-            raise ValueError("--family polygonal requires --k")
-        return PolygonalIndicator(args.k)
+        return PolygonalIndicator(_family_flag(args, "k", 3))
     if args.table is None:
         raise ValueError("--family table-file requires --table")
     return _read_table(args.table)
 
 
 def _family_sequence(args: argparse.Namespace, n_max: int) -> BigIntSeq:
+    spec = _exponent_spec(args, n_max)  # checks the family's flags
     if args.family == "ntuple":
-        if args.ell is None:
-            raise ValueError("--family ntuple requires --ell")
-        return ntuple_sequence(args.ell, n_max)
-    return expand_product(_exponent_spec(args, n_max), n_max)
+        return ntuple_sequence(args.ell, n_max)  # labelled ntuple-<ell>
+    return expand_product(spec, n_max)
 
 
 def _analytic_data(args: argparse.Namespace):
@@ -132,18 +136,21 @@ def _analytic_data(args: argparse.Namespace):
     ctx = PrecisionContext(args.digits)
     if args.family == "ntuple" and args.ell is not None and args.ell < 2:
         raise ValueError(f"{args.subcommand} requires --ell >= 2")
-    return ctx, lf_data_for(_exponent_spec(args, 1), ctx)
+    spec = _exponent_spec(args, 1)
+    if args.family == "power" and args.d > 4:
+        raise ValueError(f"{args.subcommand} requires --d <= 4")
+    return ctx, lf_data_for(spec, ctx)
 
 
-def _expansion(args: argparse.Namespace, data, ctx, saddle=None):
+def _expansion(args: argparse.Namespace, data, ctx):
     """The family's expansion, cut to its first --terms terms."""
     from .asymptotics import expansion
 
-    exp = expansion(data, ctx, saddle)
+    exp = expansion(data, ctx)
     if args.terms is not None:
         if not 1 <= args.terms <= len(exp.terms):
             raise ValueError(f"--terms must be in 1..{len(exp.terms)} here")
-        exp = type(exp)(exp.family, exp.C, exp.b, exp.terms[: args.terms])
+        exp = dataclasses.replace(exp, terms=exp.terms[: args.terms])
     return exp
 
 
@@ -174,11 +181,9 @@ def _cmd_gl(args: argparse.Namespace) -> str:
 
 
 def _cmd_constants(args: argparse.Namespace) -> str:
-    from .saddle import saddle_series
-
     ctx, data = _analytic_data(args)
-    saddle = saddle_series(data, ctx)
-    exp = _expansion(args, data, ctx, saddle)
+    exp = _expansion(args, data, ctx)
+    saddle = exp.saddle
     ks = saddle.K[: len(exp.terms)]
     fmt = args.fmt or "text"
     if fmt == "json":
@@ -319,13 +324,22 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
     if op in ("hnf", "commuting"):
         if args.ell is None or args.n is None:
             raise ValueError(f"oracle {op} requires --ell and --n")
-        count = hnf_subgroup_count if op == "hnf" else brute_force_commuting
+        count, ell_max, n_lo, n_hi = {  # the ranges each oracle supports
+            "hnf": (hnf_subgroup_count, 4, 1, 64),
+            "commuting": (brute_force_commuting, 3, 0, 5),
+        }[op]
+        if not 1 <= args.ell <= ell_max:
+            raise ValueError(f"oracle {op} requires --ell in 1..{ell_max}")
+        if not n_lo <= args.n <= n_hi:
+            raise ValueError(f"oracle {op} requires --n in {n_lo}..{n_hi}")
         return f"{count(args.ell, args.n)}\n"
     if args.max_n is None:
         raise ValueError(f"oracle {op} requires --max-n")
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
     if op == "direct":
+        if args.max_n > 500:
+            raise ValueError("oracle direct requires --max-n <= 500")
         seq = expand_product_direct(_exponent_spec(args, args.max_n), args.max_n)
     else:
         seq = pentagonal_p(args.max_n)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from itertools import permutations
 from math import comb, factorial
 from operator import mul
 
@@ -325,68 +326,34 @@ def factorial_scaled(seq: BigIntSeq) -> BigIntSeq:
 # --- brute-force oracle over explicit permutations ---
 
 
-def _all_perms(n: int) -> list[tuple[int, ...]]:
-    import itertools
-
-    return list(itertools.permutations(range(n)))
-
-
 def _commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     return all(p[q[i]] == q[p[i]] for i in range(len(p)))
 
 
 def brute_force_commuting(ell: int, n: int) -> int:
-    """|{(pi_1..pi_ell) pairwise commuting}| by direct enumeration.
+    """|{(pi_1..pi_ell) pairwise commuting}| by nested loops over S_n,
+    each permutation checked against the earlier ones (S_0 holds the
+    empty permutation, so n = 0 counts 1).
 
-    Supported for ell <= 3, n <= 5.  For ell = 3, n = 5 the outer loop
-    runs over conjugacy-class representatives and the rest of the tuple
-    over the centralizer (conjugation preserves the count); below that
-    size plain nested loops are fast enough.
+    Supported for ell <= 3, n <= 5.
     """
     if not 1 <= ell <= 3:
         raise ValueError("ell must be in 1..3")
     if not 0 <= n <= 5:
         raise ValueError("n must be in 0..5")
-    if n == 0:
-        return 1
-    perms = _all_perms(n)
+    perms = list(permutations(range(n)))
     if ell == 1:
         return len(perms)
     if ell == 2:
         return sum(1 for p in perms for q in perms if _commutes(p, q))
-    if n < 5:
-        return sum(
-            1
-            for p in perms
-            for q in perms
-            if _commutes(p, q)
-            for r in perms
-            if _commutes(p, r) and _commutes(q, r)
-        )
-    # n = 5: group by cycle type, count one representative per class
-    def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
-        seen = [False] * n
-        lens = []
-        for i in range(n):
-            if not seen[i]:
-                j, c = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-                    c += 1
-                lens.append(c)
-        return tuple(sorted(lens))
-
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for p in perms:
-        classes.setdefault(cycle_type(p), []).append(p)
-    total = 0
-    for members in classes.values():
-        rep = members[0]
-        cent = [q for q in perms if _commutes(rep, q)]
-        pairs = sum(1 for q in cent for r in cent if _commutes(q, r))
-        total += len(members) * pairs
-    return total
+    return sum(
+        1
+        for p in perms
+        for q in perms
+        if _commutes(p, q)
+        for r in perms
+        if _commutes(p, r) and _commutes(q, r)
+    )
 
 
 # --- serialization ---

@@ -9,7 +9,6 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
-import pytest
 
 from commtuple import (
     bessenrodt_ono_scan,

@@ -2,7 +2,6 @@
 exact-vs-asymptotic comparison utilities."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -20,7 +19,6 @@ from commtuple import (
     compare_exact_asym,
     dressed_residue,
     evaluate_expansion,
-    SaddleExpansion,
     expansion,
     lf_data_ntuple,
     lf_data_power,
@@ -216,25 +214,22 @@ def test_recip_power_coeff_against_truncpoly(ctx50):
 def test_expansion_validation(ctx50):
     mp = ctx50.mp
     one = mp.mpf(1)
+    saddle = saddle_series(lf_data_ntuple(2, ctx50), ctx50)
     with pytest.raises(ValueError):
-        AsymptoticExpansion("x", one, Fraction(1), ((one, Fraction(3, 2)),))
+        AsymptoticExpansion("x", one, Fraction(1), ((one, Fraction(3, 2)),), saddle)
     with pytest.raises(ValueError):
         AsymptoticExpansion(
-            "x", one, Fraction(1), ((one, Fraction(1, 3)), (one, Fraction(1, 2)))
+            "x", one, Fraction(1), ((one, Fraction(1, 3)), (one, Fraction(1, 2))),
+            saddle,
         )
 
 
-def test_three_pole_given_saddle_series(ctx50):
+def test_three_pole_keeps_its_saddle_series(ctx50):
     data = lf_data_ntuple(5, ctx50)
-    own = expansion(data, ctx50)
-    saddle = saddle_series(data, ctx50)
-    assert expansion(data, ctx50, saddle) == own
-    J = saddle.expansion_terms
-    short = SaddleExpansion(saddle.curve, saddle.step, saddle.K[: J - 1])
-    with pytest.raises(ValueError, match=f"^saddle series needs {J} terms$"):
-        expansion(data, ctx50, short)
-    with pytest.raises(ValueError, match="^saddle series of other pole data$"):
-        expansion(data, ctx50, saddle_series(lf_data_ntuple(6, ctx50), ctx50))
+    exp = expansion(data, ctx50)
+    assert exp.saddle == saddle_series(data, ctx50)
+    # the series carries one K_j past the J terms of the expansion
+    assert len(exp.saddle.K) == len(exp.terms) + 1 == exp.saddle.expansion_terms + 1
 
 
 def test_evaluate_pair_family_point(ctx50):
@@ -299,14 +294,7 @@ def test_two_pole_past_five_terms(ctx50):
     assert [lam for _, lam in exp.terms] == [Fraction(6 - k, 7) for k in range(7)]
 
 
-def test_expansion_rejects_foreign_saddle(ctx50):
-    data = lf_data_ntuple(3, ctx50)
-    other = saddle_series(lf_data_power(1, ctx50), ctx50)
-    with pytest.raises(ValueError):
-        expansion(data, ctx50, other)
-    short = saddle_series(data, ctx50)
-    with pytest.raises(ValueError):
-        expansion(data, ctx50, replace(short, K=short.K[:2]))
+def test_expansion_rejects_half_integer_pole(ctx50):
     half = LSeriesData("synthetic", ((Fraction(5, 2), ctx50.real(1)),), Fraction(0),
                        ctx50.real(0))
     with pytest.raises(ValueError):

@@ -323,7 +323,20 @@ def test_analytic_commands_refuse_ell_below_two(capsys):
     ("oracle direct --ell 2 --max-n -1", "--max-n must be >= 0"),
     ("constants --ell 2 --digits 0", "--digits must be >= 50"),
     ("compare --ell 2 --digits 49 --points 10", "--digits must be >= 50"),
-], ids=["pentagonal-max-n", "direct-max-n", "constants-digits", "compare-digits"])
+    ("seq --ell 0 --max-n 5", "--ell must be >= 1"),
+    ("logconcave --ell 0 --max-n 5", "--ell must be >= 1"),
+    ("seq --family power --d -1 --max-n 5", "--d must be >= 0"),
+    ("seq --family polygonal --k 2 --max-n 5", "--k must be >= 3"),
+    ("constants --family power --d 5", "constants requires --d <= 4"),
+    ("compare --family power --d 7 --points 10", "compare requires --d <= 4"),
+    ("oracle hnf --ell 9 --n 3", "oracle hnf requires --ell in 1..4"),
+    ("oracle hnf --ell 3 --n 65", "oracle hnf requires --n in 1..64"),
+    ("oracle commuting --ell 4 --n 2", "oracle commuting requires --ell in 1..3"),
+    ("oracle commuting --ell 2 --n 6", "oracle commuting requires --n in 0..5"),
+    ("oracle direct --ell 2 --max-n 600", "oracle direct requires --max-n <= 500"),
+], ids=["pentagonal-max-n", "direct-max-n", "constants-digits", "compare-digits",
+        "seq-ell", "logconcave-ell", "seq-d", "seq-k", "constants-d", "compare-d",
+        "hnf-ell", "hnf-n", "commuting-ell", "commuting-n", "direct-max-n-500"])
 def test_refusals_name_the_flag(capsys, command, error):
     rc, out, err = run(capsys, *command.split())
     assert (rc, out) == (1, "")
@@ -545,10 +558,12 @@ GOLDEN_COMMANDS = {
     "constants-ell2": "constants --ell 2",
     "constants-ell3": "constants --ell 3",
     "constants-ell5-digits100": "constants --ell 5 --digits 100",
+    "constants-ell5-terms3": "constants --ell 5 --terms 3",
     "constants-ell8": "constants --ell 8",
     "constants-power1-json": "constants --family power --d 1 --format json",
     "constants-power3-json": "constants --family power --d 3 --format json",
     "compare-ell3": "compare --ell 3 --points 50,200,1000",
+    "compare-ell3-terms1": "compare --ell 3 --terms 1 --points 50,200,1000",
     "seq-power2": "seq --family power --d 2 --max-n 40",
     "seq-polygonal5-json": "seq --family polygonal --k 5 --max-n 40 --format json",
     "seq-table": "seq --family table-file --table {golden}/weights.csv --max-n 20",

@@ -95,6 +95,37 @@ def test_numeric_saddle_stays_off_the_series_route():
     assert _series_references(inline, ("rho_numeric",)) == {"rho_numeric: import"}
 
 
+def _unused_imports(source):
+    """Line and name of each module-level import that the module never
+    refers to and does not list in __all__ (__future__ imports aside)."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_no_unused_imports():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    unused = [f"{path.name}:{line} {name}" for path in paths
+              for line, name in _unused_imports(path.read_text(encoding="utf-8"))]
+    assert unused == []
+    # the check sees a dotted import, an alias and an __all__ entry
+    sample = ("from __future__ import annotations\nimport os.path\n"
+              "import json as js\nfrom x import y, z\n__all__ = ['z']\nos\n")
+    assert _unused_imports(sample) == [(3, "js"), (4, "y")]
+
+
 # what `import commtuple` must leave for the first use of an analytic name
 ANALYTIC_MODULES = ("mpmath", "commtuple.precision", "commtuple.lfunction",
                     "commtuple.saddle", "commtuple.asymptotics", "commtuple.oracles")
