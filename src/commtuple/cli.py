@@ -51,7 +51,7 @@ from .series import (
     seq_to_json,
 )
 
-_FAMILIES = ("ntuple", "power", "polygonal", "table-file")
+_FAMILY_FLAGS = {"ntuple": "ell", "power": "d", "polygonal": "k", "table-file": "table"}
 
 
 def _parse_points(text: str) -> tuple[int, ...]:
@@ -98,24 +98,27 @@ def _read_table(path: str) -> TableExponent:
 
 
 def _family_flag(args: argparse.Namespace, name: str, least: int) -> int:
-    """The value of the family's flag --name, which must be given and >= least."""
+    """The value of the family's flag --name, which must be >= least."""
     value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"--family {args.family} requires --{name}")
     if value < least:
         raise ValueError(f"--{name} must be >= {least}")
     return value
 
 
 def _exponent_spec(args: argparse.Namespace, n_hint: int):
+    """The family's weights; its own flag must be given, and no other's."""
+    for family, flag in _FAMILY_FLAGS.items():
+        given = getattr(args, flag) is not None
+        if family == args.family and not given:
+            raise ValueError(f"--family {family} requires --{flag}")
+        if family != args.family and given:
+            raise ValueError(f"--family {args.family} does not take --{flag}")
     if args.family == "ntuple":
         return ntuple_exponent(_family_flag(args, "ell", 1), n_hint)
     if args.family == "power":
         return Power(_family_flag(args, "d", 0))
     if args.family == "polygonal":
         return PolygonalIndicator(_family_flag(args, "k", 3))
-    if args.table is None:
-        raise ValueError("--family table-file requires --table")
     return _read_table(args.table)
 
 
@@ -159,15 +162,13 @@ def _fmt_frac(q) -> str:
 
 
 def _emit_seq(seq: BigIntSeq, fmt: str) -> str:
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unsupported format {fmt!r}")
     return seq_to_json(seq) if fmt == "json" else seq_to_csv(seq)
 
 
 def _cmd_seq(args: argparse.Namespace) -> str:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
-    return _emit_seq(_family_sequence(args, args.max_n), args.fmt or "csv")
+    return _emit_seq(_family_sequence(args, args.max_n), args.fmt)
 
 
 def _cmd_gl(args: argparse.Namespace) -> str:
@@ -177,7 +178,7 @@ def _cmd_gl(args: argparse.Namespace) -> str:
         raise ValueError("gl requires --ell >= 1")
     table = subgroup_count_table(args.ell, args.max_n)
     seq = BigIntSeq(tuple(table[1:]), 1, f"subgroups-rank-{args.ell}")
-    return _emit_seq(seq, args.fmt or "csv")
+    return _emit_seq(seq, args.fmt)
 
 
 def _cmd_constants(args: argparse.Namespace) -> str:
@@ -185,8 +186,7 @@ def _cmd_constants(args: argparse.Namespace) -> str:
     exp = _expansion(args, data, ctx)
     saddle = exp.saddle
     ks = saddle.K[: len(exp.terms)]
-    fmt = args.fmt or "text"
-    if fmt == "json":
+    if args.fmt == "json":
         import json
 
         obj = {
@@ -209,8 +209,6 @@ def _cmd_constants(args: argparse.Namespace) -> str:
         if len(saddle.curve) == 3:
             obj["c"] = [ctx.to_str(c) for c, _, _ in saddle.curve]
         return json.dumps(obj, indent=2) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unsupported format {fmt!r}")
     lines = [
         f"family: {data.family}",
         f"alpha: {_fmt_frac(data.alpha)}",
@@ -239,8 +237,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
     exp = _expansion(args, data, ctx)
     seq = _family_sequence(args, max(points))
     rows = compare_exact_asym(seq, exp, sorted(points), ctx)
-    fmt = args.fmt or "text"
-    if fmt == "json":
+    if args.fmt == "json":
         import json
 
         obj = {
@@ -255,7 +252,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
             ],
         }
         return json.dumps(obj, indent=2) + "\n"
-    if fmt == "csv":
+    if args.fmt == "csv":
         lines = ["n,ratio,log_error"]
         for r in rows:
             lines.append(f"{r.n},{ctx.to_str(r.ratio)},{ctx.to_str(r.log_error)}")
@@ -270,8 +267,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 def _scan_output(report, fmt: str) -> str:
     if fmt == "json":
         return report_to_json(report) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unsupported format {fmt!r}")
+
     def show(item):
         return f"({item[0]},{item[1]})" if isinstance(item, tuple) else str(item)
 
@@ -295,7 +291,7 @@ def _cmd_logconcave(args: argparse.Namespace) -> str:
         raise ValueError("--max-n must be >= --min-n")
     seq = _family_sequence(args, args.max_n + 1)
     report = log_concavity_scan(seq, args.min_n, args.max_n, jobs=args.jobs)
-    return _scan_output(report, args.fmt or "json")
+    return _scan_output(report, args.fmt)
 
 
 def _cmd_logconvex(args: argparse.Namespace) -> str:
@@ -308,7 +304,7 @@ def _cmd_logconvex(args: argparse.Namespace) -> str:
         raise ValueError("--max-n must be >= --min-n")
     seq = _family_sequence(args, args.max_n + 1)
     report = _factorial_log_convexity_scan(seq, args.min_n, args.max_n)
-    return _scan_output(report, args.fmt or "json")
+    return _scan_output(report, args.fmt)
 
 
 def _cmd_bo(args: argparse.Namespace) -> str:
@@ -316,7 +312,7 @@ def _cmd_bo(args: argparse.Namespace) -> str:
         raise ValueError("--max-sum must be >= 2")
     seq = _family_sequence(args, args.max_sum)
     report = bessenrodt_ono_scan(seq, args.max_sum, jobs=args.jobs)
-    return _scan_output(report, args.fmt or "json")
+    return _scan_output(report, args.fmt)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
@@ -343,8 +339,20 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
         seq = expand_product_direct(_exponent_spec(args, args.max_n), args.max_n)
     else:
         seq = pentagonal_p(args.max_n)
-    return _emit_seq(seq, args.fmt or "csv")
+    return _emit_seq(seq, args.fmt)
 
+
+# the output formats of each subcommand, its default first
+_FORMATS = {
+    "seq": ("csv", "json"),
+    "gl": ("csv", "json"),
+    "constants": ("text", "json"),
+    "compare": ("text", "json", "csv"),
+    "logconcave": ("json", "text"),
+    "bo": ("json", "text"),
+    "logconvex": ("json", "text"),
+    "oracle": ("csv", "json"),
+}
 
 _DISPATCH = {
     "seq": _cmd_seq,
@@ -360,7 +368,7 @@ _DISPATCH = {
 
 def _build_parser() -> argparse.ArgumentParser:
     fam = argparse.ArgumentParser(add_help=False)
-    fam.add_argument("--family", choices=_FAMILIES, default="ntuple",
+    fam.add_argument("--family", choices=_FAMILY_FLAGS, default="ntuple",
                      help="sequence family (default ntuple)")
     fam.add_argument("--ell", type=int, help="tuple length for --family ntuple")
     fam.add_argument("--d", type=int, help="exponent for --family power")
@@ -481,6 +489,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
+        args.fmt = args.fmt or _FORMATS[args.subcommand][0]
+        if args.fmt not in _FORMATS[args.subcommand]:
+            raise ValueError(f"unsupported format {args.fmt!r}")
         text = _DISPATCH[args.subcommand](args)
         if args.out:
             try:

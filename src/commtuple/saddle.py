@@ -18,9 +18,10 @@ All coefficient arithmetic is dense polynomial-in-x truncated at a
 single internal order (J + 2 for J requested terms).  oracles.py holds
 the Lagrange-inversion route that checks it.
 
-rho_numeric solves the untruncated saddle equation -Phi'(rho) = n with
-the certified fixed-point sums of _exp_weight_sum (modes "dphi" and
-"newton"), and serves as the oracle for the series route.
+rho_numeric solves the untruncated saddle equation -Phi'(rho) = n by
+Newton's method, each pass one certified fixed-point sum of the pair
+(-Phi', Phi'') from _exp_weight_sum, and serves as the oracle for the
+series route.
 """
 
 from __future__ import annotations
@@ -222,24 +223,26 @@ def _grow_weights(spec: ExponentSpec, table: list, upto: int) -> None:
 _MAX_TERMS = 10**7
 
 
-def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int:
+def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext) -> int:
     """The number M of terms _exp_weight_sum adds: the length of a finite
     table, otherwise the first m >= check_from at which the certified
-    bound on every tail past m is below ctx.eps_target().
+    bound on the tail of Phi'' past m is below ctx.eps_target().
 
-    With f(m) <= m^D, D = spec.growth, the terms of a sum are at most
-    m^w u^m (1 - u)^{-k}, u = e^{-z}, where (w, k) is (D + 1, 1) for
-    -Phi' and (D + 2, 2) for Phi''.  Their ratios past m are at most
-    uhat = e^{w/m} u, so once uhat < 1 the tail past m is at most
-    (m+1)^w u^{m+1} / (1 - uhat) (1 - u)^{-k}.  From check_from on
-    that bound falls with m: (m+1)^w u^{m+1} falls once m + 1 > w/z,
-    e^{w/m} u falls with m, and check_from >= 2w/z.  So the test passes
-    on a final segment of m.  The same bound in floats, searched by
-    doubling from check_from and then bisection, gives an estimate; the
-    certified test (u^m from mp.power) confirms it at M and M - 1, or,
-    if the estimate misses, runs the same search from it.  Raises
-    ArithmeticError if M would exceed _MAX_TERMS, before any weight is
-    computed.
+    With f(m) <= m^D, D = spec.growth, the terms of Phi'' are at most
+    m^w u^m (1 - u)^{-2}, u = e^{-z}, w = D + 2.  Their ratios past m
+    are at most uhat = e^{w/m} u, so once uhat < 1 the tail past m is
+    at most (m+1)^w u^{m+1} / (1 - uhat) (1 - u)^{-2}.  That bound is
+    at least the same bound for -Phi' (w = D + 1, (1 - u)^{-1}) at
+    every m, as m + 1 >= 1, (1 - u)^{-1} >= 1 and e^{(w+1)/m} >= e^{w/m},
+    so the m it returns certifies the tail of -Phi' too.  From
+    check_from on the bound falls with m: (m+1)^w u^{m+1} falls once
+    m + 1 > w/z, e^{w/m} u falls with m, and check_from >= 2w/z.  So
+    the test passes on a final segment of m.  The same bound in floats,
+    searched by doubling from check_from and then bisection, gives an
+    estimate; the certified test (u^m from mp.power) confirms it at M
+    and M - 1, or, if the estimate misses, runs the same search from
+    it.  Raises ArithmeticError if M would exceed _MAX_TERMS, before any
+    weight is computed.
     """
     if spec.growth is None:
         if len(spec.values) > _MAX_TERMS:
@@ -249,37 +252,27 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext, mode: str) -> int
     u = mp.exp(-z)
     target = ctx.eps_target()
     inv_gap = 1 / (1 - u)
-    w_pow = spec.growth + 1
-    # the second sum of mode "newton", checked first as the slower to
-    # converge, has one more power of m and of 1/(1 - u)
-    tail_pows = ((w_pow + 1, 2), (w_pow, 1)) if mode == "newton" else ((w_pow, 1),)
+    w = spec.growth + 2
 
     def passes(m):
-        um = mp.power(u, m)
-        for w, k in tail_pows:
-            uhat = mp.exp(mp.mpf(w) / m) * u
-            if not uhat < 1:
-                return False
-            tail = mp.mpf(m + 1) ** w * um * u / (1 - uhat) * inv_gap**k
-            if not tail < target:
-                return False
-        return True
+        uhat = mp.exp(mp.mpf(w) / m) * u
+        if not uhat < 1:
+            return False
+        tail = mp.mpf(m + 1) ** w * mp.power(u, m) * u / (1 - uhat) * inv_gap**2
+        return tail < target
 
     z_f = float(z)
     log_inv_gap = -log(-expm1(-z_f))
     log_target = float(mp.log(target))
 
     def passes_float(m):
-        for w, k in tail_pows:
-            x = w / m - z_f
-            if x >= 0:
-                return False
-            log_tail = w * log(m + 1) - z_f * (m + 1) - log(-expm1(x))
-            if not log_tail + k * log_inv_gap < log_target:
-                return False
-        return True
+        x = w / m - z_f
+        if x >= 0:
+            return False
+        log_tail = w * log(m + 1) - z_f * (m + 1) - log(-expm1(x))
+        return log_tail + 2 * log_inv_gap < log_target
 
-    check_from = max(16, int(2 * tail_pows[0][0] / z_f) + 1)
+    check_from = max(16, int(2 * w / z_f) + 1)
     lo, hi = check_from - 1, check_from
     est = _first_passing(passes_float, lo, hi)
     if est is not None:
@@ -314,18 +307,17 @@ def _first_passing(test, lo: int, hi: int) -> int | None:
 
 
 def _exp_weight_sum(
-    spec: ExponentSpec, z, ctx: PrecisionContext, mode: str, table: list | None = None
+    spec: ExponentSpec, z, ctx: PrecisionContext, table: list | None = None
 ):
-    """Certified exponential-weight sums
+    """The certified exponential-weight sums (-Phi', Phi''), with u = e^{-z}:
 
-        mode "dphi":   sum_m m f(m) u^m / (1 - u^m)        (this is -Phi')
-        mode "newton": the pair (-Phi', Phi''), with
-                       Phi'' = sum_m m^2 f(m) u^m / (1 - u^m)^2,
+        -Phi' = sum_m m f(m) u^m / (1 - u^m),
+        Phi'' = sum_m m^2 f(m) u^m / (1 - u^m)^2.
 
-    with u = e^{-z}.  Before the sum runs, _tail_cutoff finds the number
-    M of terms whose tail is certified below eps = ctx.eps_target() from
-    the bound f(m) <= m^D, D = spec.growth: past its check_from that tail
-    bound falls with m, so the first m that passes is found by doubling
+    Before the sum runs, _tail_cutoff finds the number M of terms whose
+    tails are certified below eps = ctx.eps_target() from the bound
+    f(m) <= m^D, D = spec.growth: past its check_from that tail bound
+    falls with m, so the first m that passes is found by doubling
     and bisection, not by testing every term.  Terms 1..M are then added
     in fixed point, as Python ints scaled by 2^P, with no per-term mpf.
 
@@ -347,21 +339,19 @@ def _exp_weight_sum(
       eps >= 2^(e-1), gives C 2^-P < eps, and with it 6 M 2^-P <= g_1.
     So each returned sum is within eps of the sum of its first M terms,
     which is within eps of the whole sum, before the one rounding to
-    the working precision.  Mode "newton" certifies both sums.
+    the working precision.
 
     table holds the weights (0, f(1), ...) and is extended in place to
     index M; passing the same list to several calls for one spec
     reuses it.
     """
-    if mode not in ("dphi", "newton"):
-        raise ValueError(f"unknown mode {mode!r}")
     mp = ctx.mp
     z = ctx.real(z)
     if not z > 0:
         raise ValueError("z must be positive")
     if table is None:
         table = []
-    M = _tail_cutoff(spec, z, ctx, mode)
+    M = _tail_cutoff(spec, z, ctx)
     if M >= len(table):
         _grow_weights(spec, table, M)
     F = max(table[1 : M + 1], default=0)
@@ -381,25 +371,22 @@ def _exp_weight_sum(
             gap = one - um
             num = m * fm * um
             total += (num << P) // gap
-            if mode == "newton":
-                total2 += (m * num << 2 * P) // (gap * gap)
-    total = mp.ldexp(total, -P)
-    return (total, mp.ldexp(total2, -P)) if mode == "newton" else total
+            total2 += (m * num << 2 * P) // (gap * gap)
+    return mp.ldexp(total, -P), mp.ldexp(total2, -P)
 
 
 def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
     """The unique z > 0 with -Phi'(z) = n (the summand is strictly
     decreasing in z).
 
-    Passes at z = 1 and at 2 or 1/2 toward the root give the slope of
-    log(-Phi') against log z; the solve starts where that secant meets
-    log n.  Then safeguarded Newton on t = log z for
-    log(-Phi'(e^t)) = log n, nearly linear in t because -Phi' behaves
-    like a power of z.  Each step evaluates -Phi' and Phi'' in one
-    certified pass and narrows the bracket [lo, hi] around the root; a
-    step that leaves the bracket is replaced by its midpoint, or, while
-    one side of the root is still unprobed, by doubling or halving z.
-    One weight table serves every pass of the solve.
+    Safeguarded Newton on t = log z for log(-Phi'(e^t)) = log n, nearly
+    linear in t because -Phi' behaves like a power of z, started at
+    z = 1.  Each pass evaluates -Phi' and Phi'' in one certified sum and
+    narrows the bracket [lo, hi] around the root.  The first step, along
+    the tangent at z = 1, is taken whole; a later step that leaves the
+    bracket is replaced by its midpoint, or, while one side of the root
+    is still unprobed, is cut to doubling or halving z.  One weight
+    table serves every pass of the solve.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -410,23 +397,11 @@ def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
     log_n = mp.log(nn)
     table: list = []
     lo = hi = None  # nearest probes below and above the root
-
-    z1 = mp.mpf(1)
-    g1 = _exp_weight_sum(spec, z1, ctx, "dphi", table)
-    z2 = z1 * 2 if g1 > nn else z1 / 2
-    g2 = _exp_weight_sum(spec, z2, ctx, "dphi", table)
-    # z2 lies toward the root from z1, so it is the nearer probe on its side
-    for z, g in ((z1, g1), (z2, g2)):
-        if g > nn:
-            lo = z
-        else:
-            hi = z
-    slope = (mp.log(g2) - mp.log(g1)) / (mp.log(z2) - mp.log(z1))
-    z = z2 * mp.exp((log_n - mp.log(g2)) / slope)
     log_2 = mp.log(2)
     tol = mp.mpf(10) ** (-(ctx.digits + ctx.guard - 3))
-    for _ in range(ctx.digits + ctx.guard):
-        hv, d2 = _exp_weight_sum(spec, z, ctx, "newton", table)
+    z = mp.mpf(1)
+    for i in range(ctx.digits + ctx.guard):
+        hv, d2 = _exp_weight_sum(spec, z, ctx, table)
         if hv > nn:
             lo = z
         else:
@@ -436,7 +411,7 @@ def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
         if abs(step) < tol:
             return z * mp.exp(step)
         if lo is None or hi is None:
-            z = z * mp.exp(max(-log_2, min(step, log_2)))
+            z = z * mp.exp(max(-log_2, min(step, log_2)) if i else step)
         else:
             z = z * mp.exp(step)
             if not lo < z < hi:

@@ -304,10 +304,33 @@ def test_out_failures(tmp_path, capsys):
 def test_sequence_commands_refuse_text_format(capsys):
     for cmd in (["seq", "--ell", "2", "--max-n", "5"], ["gl", "--ell", "2", "--max-n", "5"],
                 ["oracle", "direct", "--ell", "2", "--max-n", "5"],
-                ["oracle", "pentagonal", "--max-n", "5"]):
+                ["oracle", "pentagonal", "--max-n", "5"],
+                ["oracle", "hnf", "--ell", "2", "--n", "5"],
+                ["oracle", "commuting", "--ell", "2", "--n", "3"]):
         rc, out, err = run(capsys, *cmd, "--format", "text")
         assert (rc, out) == (1, "")
         assert err.splitlines()[1:] == ["error: unsupported format 'text'"]
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("seq --ell 5 --max-n 6000", "text"),
+    ("logconcave --ell 5 --max-n 6000", "csv"),
+    ("bo --ell 5 --max-sum 6000", "csv"),
+    ("logconvex --ell 5 --max-n 6000", "csv"),
+])
+def test_bad_format_refused_before_any_work(capsys, monkeypatch, command, fmt):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(series, "_run_kernel", refuse)
+    rc, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert (rc, out) == (1, "")
+    assert err.splitlines()[1:] == [f"error: unsupported format {fmt!r}"]
+
+
+def test_every_subcommand_has_formats():
+    # main looks each subcommand up in _FORMATS and catches no KeyError
+    assert set(cli._FORMATS) == set(cli._DISPATCH)
 
 
 def test_analytic_commands_refuse_ell_below_two(capsys):
@@ -334,9 +357,20 @@ def test_analytic_commands_refuse_ell_below_two(capsys):
     ("oracle commuting --ell 4 --n 2", "oracle commuting requires --ell in 1..3"),
     ("oracle commuting --ell 2 --n 6", "oracle commuting requires --n in 0..5"),
     ("oracle direct --ell 2 --max-n 600", "oracle direct requires --max-n <= 500"),
+    ("seq --ell 2 --max-n 3 --d 5", "--family ntuple does not take --d"),
+    ("seq --family power --d 1 --ell 4 --max-n 3",
+     "--family power does not take --ell"),
+    ("logconcave --family polygonal --k 5 --table w.csv --max-n 3",
+     "--family polygonal does not take --table"),
+    ("constants --family table-file --table w.csv --k 4",
+     "--family table-file does not take --k"),
+    ("oracle direct --ell 2 --k 4 --max-n 3", "--family ntuple does not take --k"),
+    ("seq --family power --max-n 3", "--family power requires --d"),
 ], ids=["pentagonal-max-n", "direct-max-n", "constants-digits", "compare-digits",
         "seq-ell", "logconcave-ell", "seq-d", "seq-k", "constants-d", "compare-d",
-        "hnf-ell", "hnf-n", "commuting-ell", "commuting-n", "direct-max-n-500"])
+        "hnf-ell", "hnf-n", "commuting-ell", "commuting-n", "direct-max-n-500",
+        "ntuple-d", "power-ell", "polygonal-table", "table-file-k", "direct-k",
+        "power-no-d"])
 def test_refusals_name_the_flag(capsys, command, error):
     rc, out, err = run(capsys, *command.split())
     assert (rc, out) == (1, "")

@@ -362,22 +362,20 @@ def test_rho_numeric_matches_series(ctx50):
 
 
 def test_rho_numeric_starts_near_root(ctx50, monkeypatch):
-    # the secant through the passes at z = 1 and 1/2 lands near the root
+    # the tangent at z = 1 is followed whole and lands near the root
     # 0.188, so no further passes are spent halving toward it
-    from commtuple import saddle
-
     calls = []
     weight_sum = saddle._exp_weight_sum
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[1])
         return weight_sum(*args, **kwargs)
 
     monkeypatch.setattr(saddle, "_exp_weight_sum", counted)
     rho = rho_numeric(SubgroupCount(3), 10**4, ctx50)
     assert ctx50.mp.nstr(rho, 50) == "0.18792226622457854317504841244316034698873662801038"
-    assert calls[:2] == ["dphi", "dphi"]
-    assert len(calls) <= 7
+    assert calls[0] == 1
+    assert len(calls) <= 6
 
 
 def test_rho_numeric_guards(ctx50):
@@ -397,12 +395,10 @@ def test_phi_closed_form(ctx50):
         got = exp_weight_sum_reference(delta, z, ctx50, "phi")
         assert abs(got - want) < mp.mpf("1e-48")
     # -Phi' > 0
-    assert saddle._exp_weight_sum(delta, mp.mpf("0.5"), ctx50, "dphi") > 0
-    assert saddle._exp_weight_sum(SubgroupCount(2), mp.mpf("0.5"), ctx50, "dphi") > 0
+    assert saddle._exp_weight_sum(delta, mp.mpf("0.5"), ctx50)[0] > 0
+    assert saddle._exp_weight_sum(SubgroupCount(2), mp.mpf("0.5"), ctx50)[0] > 0
     with pytest.raises(ValueError, match="z must be positive"):
-        saddle._exp_weight_sum(delta, mp.mpf(0), ctx50, "dphi")
-    with pytest.raises(ValueError, match="unknown mode 'phi'"):
-        saddle._exp_weight_sum(delta, mp.mpf("0.5"), ctx50, "phi")
+        saddle._exp_weight_sum(delta, mp.mpf(0), ctx50)
 
 
 def test_phi_laurent_agreement(ctx50):
@@ -473,34 +469,54 @@ def test_rho_numeric_solves_saddle_equation(spec, n):
     ctx = PrecisionContext(50)
     rho = rho_numeric(spec, n, ctx)
     assert rho > 0
-    residual = saddle._exp_weight_sum(spec, rho, ctx, "dphi") - n
+    residual = saddle._exp_weight_sum(spec, rho, ctx)[0] - n
     assert abs(residual) <= ctx.mp.mpf(10) ** -ctx.digits * n
 
 
-@pytest.mark.parametrize("ell, n, want, passes", [
-    (4, 10**3, "0.33228454374170656154479124994631474476904942529909", 7),
-    (4, 10**4, "0.18792226622457854317504841244316034698873662801038", 7),
-    (2, 10**2, "0.12580504750128083263508693621838052318548553902148", 8),
-])
-def test_rho_numeric_benchmark_points(ctx50, monkeypatch, ell, n, want, passes):
-    # the analytic benchmark's solves: the root and the number of
-    # weight-sum passes it takes
+def _weight_id(value):
+    """Test id of a weight: Power(d) as power<d>, and SubgroupCount(r) as
+    the tuple length r + 1 of the ntuple family it weights."""
+    if isinstance(value, Power):
+        return f"power{value.d}"
+    if isinstance(value, SubgroupCount):
+        return str(value.rank + 1)
+    return None
+
+
+@pytest.mark.parametrize("spec, n, want, passes", [
+    # the analytic benchmark's solves
+    (ntuple_exponent(4, 8), 10**3,
+     "0.33228454374170656154479124994631474476904942529909", 6),
+    (ntuple_exponent(4, 8), 10**4,
+     "0.18792226622457854317504841244316034698873662801038", 6),
+    (ntuple_exponent(2, 8), 10**2,
+     "0.12580504750128083263508693621838052318548553902148", 7),
+    # roots on both sides of z = 1 and far from it
+    (Power(0), 50, "0.17652037775439977322472761202064653016607624609455", 7),
+    (Power(0), 600, "0.051946658112417927347997907803654353435360661947742", 7),
+    (Power(1), 37, "0.40127483900374159065980537208946200552764655041738", 6),
+    (Power(2), 500, "0.33758539705781970048236602986387040510411833876982", 5),
+    (SubgroupCount(1), 1, "1.0749844198335927019602878726139625838540820320663", 6),
+    (SubgroupCount(2), 250, "0.24671391950510108138389165929820429315961288105766", 7),
+], ids=_weight_id)
+def test_rho_numeric_benchmark_points(ctx50, monkeypatch, spec, n, want, passes):
+    # the root and the number of weight-sum passes it takes
     calls = []
     weight_sum = saddle._exp_weight_sum
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[1])
         return weight_sum(*args, **kwargs)
 
     monkeypatch.setattr(saddle, "_exp_weight_sum", counted)
-    rho = rho_numeric(ntuple_exponent(ell, 8), n, ctx50)
+    rho = rho_numeric(spec, n, ctx50)
     assert ctx50.mp.nstr(rho, 50) == want
     assert len(calls) == passes
 
 
 @st.composite
 def weight_sum_cases(draw):
-    """A weight, log-uniform z and a mode.  Finite tables, with zeros, go
+    """A weight and log-uniform z.  Finite tables, with zeros, go
     down to z = 1e-3, where the fixed-point gaps 2^P - U_m cancel most
     of their bits and the reference takes every gap from expm1; infinite
     weights stop at 1e-2, because the per-term reference needs about
@@ -512,22 +528,19 @@ def weight_sum_cases(draw):
             st.one_of(st.just(0), st.integers(1, 10**6)), min_size=1, max_size=40)),
     ))
     low = -3 if isinstance(spec, TableExponent) else -2
-    z = 10 ** draw(st.floats(low, 0.6))
-    return spec, z, draw(st.sampled_from(["dphi", "newton"]))
+    return spec, 10 ** draw(st.floats(low, 0.6))
 
 
 @settings(max_examples=40, deadline=None)
 @given(weight_sum_cases())
 def test_weight_sum_matches_reference(case):
-    spec, z, mode = case
+    spec, z = case
     ctx = PrecisionContext(50)
     mp = ctx.mp
-    got = saddle._exp_weight_sum(spec, z, ctx, mode)
+    got = saddle._exp_weight_sum(spec, z, ctx)
     # 64 more bits leave the reference's own rounding far below the bound
     with mp.workprec(mp.prec + 64):
-        want = exp_weight_sum_reference(spec, z, ctx, mode)
-    if mode != "newton":
-        got, want = (got,), (want,)
+        want = exp_weight_sum_reference(spec, z, ctx, "newton")
     eps = ctx.eps_target()
     for x, y in zip(got, want):
         # both stop at the same m; what remains is the fixed-point error
@@ -541,25 +554,25 @@ def test_weight_sum_matches_reference(case):
               st.builds(SubgroupCount, st.integers(1, 5)),
               st.builds(PolygonalIndicator, st.integers(3, 6))),
     st.floats(-2, 1),
-    st.sampled_from(["dphi", "newton"]),
 )
-def test_tail_cutoff_matches_linear_scan(spec, log_z, mode):
+def test_tail_cutoff_matches_linear_scan(spec, log_z):
     ctx = PrecisionContext(50)
     z = ctx.real(10**log_z)
-    assert saddle._tail_cutoff(spec, z, ctx, mode) == tail_cutoff_reference(
-        spec, z, ctx, mode)
+    M = saddle._tail_cutoff(spec, z, ctx)
+    assert M == tail_cutoff_reference(spec, z, ctx, "newton")
+    # the Phi'' tail bound alone also certifies the -Phi' tail
+    assert tail_cutoff_reference(spec, z, ctx, "dphi") <= M
 
 
 @pytest.mark.parametrize("bias", [-2.0, 2.0])
-@pytest.mark.parametrize("mode", ["dphi", "newton"])
-def test_tail_cutoff_when_the_float_estimate_misses(monkeypatch, bias, mode):
+def test_tail_cutoff_when_the_float_estimate_misses(monkeypatch, bias):
     # a float log that is off by `bias` puts the estimate of M below it
     # (bias < 0) or above it (bias > 0); the certified search must still
     # return the first passing m
     ctx = PrecisionContext(50)
     spec = SubgroupCount(2)
     zs = [ctx.real(z) for z in ("0.05", "0.3", "2")]
-    want = [tail_cutoff_reference(spec, z, ctx, mode) for z in zs]
+    want = [tail_cutoff_reference(spec, z, ctx, "newton") for z in zs]
     searches = []
     first_passing = saddle._first_passing
 
@@ -569,13 +582,12 @@ def test_tail_cutoff_when_the_float_estimate_misses(monkeypatch, bias, mode):
 
     monkeypatch.setattr(saddle, "log", lambda x: log(x) + bias)
     monkeypatch.setattr(saddle, "_first_passing", counted)
-    assert [saddle._tail_cutoff(spec, z, ctx, mode) for z in zs] == want
+    assert [saddle._tail_cutoff(spec, z, ctx) for z in zs] == want
     # each cutoff needed the certified search after its estimate
     assert len(searches) == 2 * len(zs)
 
 
-@pytest.mark.parametrize("mode", ["dphi", "newton"])
-def test_hopeless_weight_sum_fails_before_any_weight(monkeypatch, mode):
+def test_hopeless_weight_sum_fails_before_any_weight(monkeypatch):
     # at z = 1e-6 the tail falls below 1e-60 only past m = 10^8
     def refuse(spec, table, upto):
         raise AssertionError(f"weight table grown to {upto}")
@@ -583,7 +595,7 @@ def test_hopeless_weight_sum_fails_before_any_weight(monkeypatch, mode):
     monkeypatch.setattr(saddle, "_grow_weights", refuse)
     ctx = PrecisionContext(50)
     with pytest.raises(ArithmeticError, match="weight sum failed to converge"):
-        saddle._exp_weight_sum(Power(0), ctx.mp.mpf("1e-6"), ctx, mode)
+        saddle._exp_weight_sum(Power(0), ctx.mp.mpf("1e-6"), ctx)
 
 
 @pytest.mark.parametrize("n, want", [
