@@ -1,17 +1,18 @@
 """Dirichlet-series data behind each product family.
 
-For the rank-r subgroup-count weight the attached Dirichlet series
-factors as zeta(s) zeta(s-1) ... zeta(s-r+1), so poles, residues and
-the special values at 0 reduce to products of zeta values; exact
-rationals (zeta at integers <= 0) and working-precision reals (zeta at
-integers >= 2) are kept separate until the final promotion.
+Every supported family has L(s) = prod_{k in shifts} zeta(s - k): the
+rank-r subgroup-count weight has shifts 0..r-1, the power weight n^d
+the single shift d.  One builder reads the poles, their residues and
+the special values at 0 off that product; exact rationals (zeta at
+integers <= 0) and working-precision reals (zeta at integers >= 2) are
+kept separate until the final promotion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Any
 
 from .arith import ExponentSpec, Power, SubgroupCount
@@ -54,37 +55,28 @@ def _zeta_product(args: list[int], ctx: PrecisionContext):
     return ctx.real(rat) * real if rat != 1 else real
 
 
-def _ntuple_residue(ell: int, nu: int, ctx: PrecisionContext):
-    """Residue of zeta(s) zeta(s-1)...zeta(s-ell+2) at s = nu."""
-    args = [nu - k for k in range(ell - 1) if k != nu - 1]
-    return _zeta_product(args, ctx)
+def _zeta_data(family: str, shifts, ctx: PrecisionContext) -> LSeriesData:
+    """Pole data of L(s) = prod_{k in shifts} zeta(s - k), distinct shifts.
 
-
-def _l_at_zero_exact(ell: int) -> Fraction:
-    out = Fraction(1)
-    for k in range(ell - 1):
-        out *= zeta_nonpos(k)
-    return out
-
-
-def _l_prime_at_zero(ell: int, ctx: PrecisionContext):
-    """d/ds prod_{k=0}^{ell-2} zeta(s-k) at s = 0, by the product rule.
-
-    Each term has an exact rational cofactor prod_{k != j} zeta(-k);
-    terms with a vanishing cofactor drop out exactly, which makes the
-    value exactly 0 for ell >= 6 (two or more zeta(-even) factors).
+    Each shift k gives a candidate pole at k + 1 whose residue is the
+    product of the other factors there; the pole is dropped when one of
+    those factors is an exact zero zeta(-2j), j >= 1.  L'(0) follows from
+    the product rule: each term has the exact cofactor
+    prod_{k != j} zeta(-k), and terms with a vanishing cofactor drop out
+    exactly (so two or more zeta(-even) factors make L'(0) exactly 0).
     """
-    mp = ctx.mp
-    total = mp.mpf(0)
-    for j in range(ell - 1):
-        cof = Fraction(1)
-        for k in range(ell - 1):
-            if k != j:
-                cof *= zeta_nonpos(k)
-        if cof == 0:
-            continue
-        total += ctx.real(cof) * zeta_prime_neg(j, ctx)
-    return total
+    poles = []
+    for k in sorted(shifts, reverse=True):
+        args = [k + 1 - j for j in shifts if j != k]
+        if all(a > 0 or zeta_nonpos(-a) for a in args):
+            poles.append((Fraction(k + 1), _zeta_product(args, ctx)))
+    l_at_zero = prod(map(zeta_nonpos, shifts), start=Fraction(1))
+    l_prime = ctx.mp.mpf(0)
+    for j in shifts:
+        cof = prod((zeta_nonpos(k) for k in shifts if k != j), start=Fraction(1))
+        if cof:
+            l_prime += ctx.real(cof) * zeta_prime_neg(j, ctx)
+    return LSeriesData(family, tuple(poles), l_at_zero, l_prime)
 
 
 def dressed_residue(pole, ctx: PrecisionContext):
@@ -99,29 +91,11 @@ def dressed_residue(pole, ctx: PrecisionContext):
 
 
 def lf_data_ntuple(ell: int, ctx: PrecisionContext) -> LSeriesData:
-    """Pole data for the commuting-tuple family N_ell, ell >= 2.
-
-    ell = 2: single pole at 1; ell = 3: poles at 2, 1; ell >= 4: poles
-    at ell-1, ell-2, ell-3 (every other candidate pole is cancelled by a
-    zero of a zeta(-even) factor).
-    """
+    """Pole data for the commuting-tuple family N_ell, ell >= 2, whose
+    L(s) = zeta(s) zeta(s-1) ... zeta(s-ell+2)."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    if ell == 2:
-        locs = [1]
-    elif ell == 3:
-        locs = [2, 1]
-    else:
-        locs = [ell - 1, ell - 2, ell - 3]
-    poles = tuple(
-        (Fraction(nu), _ntuple_residue(ell, nu, ctx)) for nu in locs
-    )
-    return LSeriesData(
-        family=f"ntuple-{ell}",
-        poles=poles,
-        l_at_zero=_l_at_zero_exact(ell),
-        l_prime_at_zero=_l_prime_at_zero(ell, ctx),
-    )
+    return _zeta_data(f"ntuple-{ell}", range(ell - 1), ctx)
 
 
 def lf_data_power(d: int, ctx: PrecisionContext) -> LSeriesData:
@@ -129,12 +103,7 @@ def lf_data_power(d: int, ctx: PrecisionContext) -> LSeriesData:
     one pole at d+1 with residue 1."""
     if not 0 <= d <= 4:
         raise ValueError("d must be in 0..4")
-    return LSeriesData(
-        family=f"power-{d}",
-        poles=((Fraction(d + 1), ctx.real(1)),),
-        l_at_zero=zeta_nonpos(d),
-        l_prime_at_zero=zeta_prime_neg(d, ctx),
-    )
+    return _zeta_data(f"power-{d}", [d], ctx)
 
 
 def lf_data_for(spec: ExponentSpec, ctx: PrecisionContext) -> LSeriesData:

@@ -382,11 +382,14 @@ def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
     Safeguarded Newton on t = log z for log(-Phi'(e^t)) = log n, nearly
     linear in t because -Phi' behaves like a power of z, started at
     z = 1.  Each pass evaluates -Phi' and Phi'' in one certified sum and
-    narrows the bracket [lo, hi] around the root.  The first step, along
-    the tangent at z = 1, is taken whole; a later step that leaves the
-    bracket is replaced by its midpoint, or, while one side of the root
-    is still unprobed, is cut to doubling or halving z.  One weight
-    table serves every pass of the solve.
+    narrows the bracket [lo, hi] around the root.  Each step is taken
+    whole, unless both sides of the root have been probed and the step
+    leaves the bracket, when z moves to its midpoint.  No step needs a
+    clip: each term m f(m)/(e^{mz} - 1) of -Phi' has a log-derivative
+    in log z of at most -1, so the sum does too, and neither the step
+    nor the distance to the root exceeds R = |log(-Phi'(z)/n)| in log z;
+    a step lands within R of the root.  One weight table serves every
+    pass of the solve.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -397,10 +400,9 @@ def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
     log_n = mp.log(nn)
     table: list = []
     lo = hi = None  # nearest probes below and above the root
-    log_2 = mp.log(2)
     tol = mp.mpf(10) ** (-(ctx.digits + ctx.guard - 3))
     z = mp.mpf(1)
-    for i in range(ctx.digits + ctx.guard):
+    for _ in range(ctx.digits + ctx.guard):
         hv, d2 = _exp_weight_sum(spec, z, ctx, table)
         if hv > nn:
             lo = z
@@ -410,10 +412,7 @@ def rho_numeric(spec: ExponentSpec, n: int, ctx: PrecisionContext):
         step = (mp.log(hv) - log_n) * hv / (z * d2)
         if abs(step) < tol:
             return z * mp.exp(step)
-        if lo is None or hi is None:
-            z = z * mp.exp(max(-log_2, min(step, log_2)) if i else step)
-        else:
-            z = z * mp.exp(step)
-            if not lo < z < hi:
-                z = (lo + hi) / 2
+        z = z * mp.exp(step)
+        if lo is not None and hi is not None and not lo < z < hi:
+            z = (lo + hi) / 2
     raise ArithmeticError("saddle-point iteration failed to converge")

@@ -594,8 +594,11 @@ GOLDEN_COMMANDS = {
     "constants-ell5-digits100": "constants --ell 5 --digits 100",
     "constants-ell5-terms3": "constants --ell 5 --terms 3",
     "constants-ell8": "constants --ell 8",
+    "constants-ell12": "constants --ell 12",
+    "constants-power0": "constants --family power --d 0",
     "constants-power1-json": "constants --family power --d 1 --format json",
     "constants-power3-json": "constants --family power --d 3 --format json",
+    "constants-power4-json": "constants --family power --d 4 --format json",
     "compare-ell3": "compare --ell 3 --points 50,200,1000",
     "compare-ell3-terms1": "compare --ell 3 --terms 1 --points 50,200,1000",
     "seq-power2": "seq --family power --d 2 --max-n 40",

@@ -82,6 +82,39 @@ def test_l_prime_at_zero_values(ctx50):
         assert lf_data_ntuple(ell, ctx50).l_prime_at_zero == 0
 
 
+@pytest.mark.parametrize("build, arg, shifts", [
+    *(pytest.param(lf_data_ntuple, ell, range(ell - 1), id=f"ntuple{ell}")
+      for ell in range(2, 13)),
+    *(pytest.param(lf_data_power, d, [d], id=f"power{d}") for d in range(5)),
+])
+def test_l_data_matches_zeta_limits(ctx50, build, arg, shifts):
+    # L(s) = prod zeta(s - k) from mpmath's own zeta at 110 digits: a
+    # residue is the limit h L(nu + h), and nu counts as a pole when that
+    # limit is far from 0 (else it is O(h))
+    got = build(arg, ctx50)
+    with mpmath.workdps(110):
+        h = mpmath.mpf("1e-45")
+
+        def limit(nu):
+            return h * mpmath.fprod(mpmath.zeta(nu + h - k) for k in shifts)
+
+        limits = {nu: limit(nu) for nu in range(1, max(shifts) + 2)}
+        poles = [nu for nu in sorted(limits, reverse=True)
+                 if abs(limits[nu]) > mpmath.mpf("1e-30")]
+        assert [loc for loc, _ in got.poles] == poles
+        for loc, res in got.poles:
+            want = limits[int(loc)]
+            assert abs(mpmath.mpf(res) - want) < mpmath.mpf("1e-40") * abs(want)
+        zeros = {k: mpmath.zeta(-k) for k in shifts}
+        l_at_zero = mpmath.fprod(zeros.values())
+        assert mpmath.mpf(got.l_at_zero.numerator) / got.l_at_zero.denominator == l_at_zero
+        l_prime = mpmath.fsum(
+            mpmath.zeta(-j, 1, 1)
+            * mpmath.fprod(zeros[k] for k in shifts if k != j)
+            for j in shifts)
+        assert abs(mpmath.mpf(got.l_prime_at_zero) - l_prime) < mpmath.mpf("1e-40")
+
+
 def curve_coefficients(ell, ctx):
     return [c for c, _, _ in saddle_series(lf_data_ntuple(ell, ctx), ctx).curve]
 

@@ -474,12 +474,15 @@ def test_rho_numeric_solves_saddle_equation(spec, n):
 
 
 def _weight_id(value):
-    """Test id of a weight: Power(d) as power<d>, and SubgroupCount(r) as
-    the tuple length r + 1 of the ntuple family it weights."""
+    """Test id of a weight: Power(d) as power<d>, SubgroupCount(r) as
+    the tuple length r + 1 of the ntuple family it weights, and a
+    TableExponent as table<len>."""
     if isinstance(value, Power):
         return f"power{value.d}"
     if isinstance(value, SubgroupCount):
         return str(value.rank + 1)
+    if isinstance(value, TableExponent):
+        return f"table{len(value.values)}"
     return None
 
 
@@ -498,6 +501,11 @@ def _weight_id(value):
     (Power(2), 500, "0.33758539705781970048236602986387040510411833876982", 5),
     (SubgroupCount(1), 1, "1.0749844198335927019602878726139625838540820320663", 6),
     (SubgroupCount(2), 250, "0.24671391950510108138389165929820429315961288105766", 7),
+    # -Phi' = 1/(e^z - 1): roots far below z = 1, each reached by whole steps
+    (TableExponent((1,)), 10**5,
+     "0.0000099999500003333308333533331666680952255953492053492", 6),
+    (TableExponent((1,)), 10**7,
+     "0.00000009999999500000033333330833333533333316666668095238", 6),
 ], ids=_weight_id)
 def test_rho_numeric_benchmark_points(ctx50, monkeypatch, spec, n, want, passes):
     # the root and the number of weight-sum passes it takes
