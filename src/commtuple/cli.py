@@ -24,6 +24,7 @@ import re
 import stat
 import sys
 from decimal import Decimal
+from functools import cache
 
 from . import __version__
 from .arith import (
@@ -366,7 +367,11 @@ _DISPATCH = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept, so callers
+    that run main many times in one process build it once (parse_args
+    leaves it unchanged).  Importing the module does not build it."""
     fam = argparse.ArgumentParser(add_help=False)
     fam.add_argument("--family", choices=_FAMILY_FLAGS, default="ntuple",
                      help="sequence family (default ntuple)")

@@ -6,8 +6,11 @@ counts; expand_kernel solves the product-expansion recurrence row by row;
 bernoulli_recurrence builds B_0..B_m from the binomial recurrence;
 two_pole_K gives closed forms of K_1..K_5 for two poles; lagrange_invert
 inverts series compositionally, behind the tests' oracle for
-curve_saddle_series; and recip_power_coeff enumerates weighted
-multi-indices to assemble the A_k without series arithmetic.
+curve_saddle_series, and lagrange_saddle_K reads the K_j of a saddle
+curve off the Lagrange-Burmann formula; recip_power_coeff enumerates
+weighted multi-indices to assemble the A_k without series arithmetic;
+and zeta_em, zeta_prime_em and euler_gamma_em sum Euler-Maclaurin
+series for the values that precision.py takes from mpmath.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .precision import PrecisionContext
+from .precision import PrecisionContext, bernoulli_fraction
 from .saddle import TruncPoly
 
 # --- weight tables ---
@@ -73,6 +76,115 @@ def bernoulli_recurrence(m: int) -> list[Fraction]:
         s = sum(Fraction(comb(k + 1, j)) * out[j] for j in range(k))
         out.append(-s / (k + 1))
     return out
+
+
+# --- zeta, zeta' and gamma by Euler-Maclaurin ---
+
+
+def _em_sum(ctx: PrecisionContext, cutoff: int, head, term, tol):
+    """An Euler-Maclaurin sum head(N) + sum_{k>=1} term(N, k) at N = cutoff.
+
+    The correction terms are added until the first one below tol, which
+    bounds the remainder.  If they start to grow first (the asymptotic
+    series diverges at this N), the sum restarts at twice the cutoff.
+    """
+    mp = ctx.mp
+    while True:
+        val = head(cutoff)
+        prev = mp.inf
+        k = 1
+        while True:
+            t = term(cutoff, k)
+            if abs(t) < tol:
+                return val
+            if abs(t) > prev:
+                break
+            val += t
+            prev = abs(t)
+            k += 1
+        cutoff *= 2
+
+
+def zeta_em(m: int, ctx: PrecisionContext):
+    """zeta(m) for integer m >= 2 by Euler-Maclaurin, the remainder
+    bounded by the first omitted correction term (valid for real m >= 2);
+    the cutoff grows with the working precision, never a fixed count."""
+    mp = ctx.mp
+
+    def head(big_n):
+        val = mp.mpf(0)
+        for n in range(1, big_n + 1):
+            val += mp.mpf(1) / mp.mpf(n**m)
+        val += mp.mpf(1) / ((m - 1) * mp.mpf(big_n ** (m - 1)))
+        val -= mp.mpf(1) / (2 * mp.mpf(big_n**m))
+        return val
+
+    def term(big_n, k):
+        coeff = Fraction(bernoulli_fraction(2 * k) * perm(m + 2 * k - 2, 2 * k - 1),
+                         factorial(2 * k))
+        return ctx.real(coeff) / mp.mpf(big_n ** (m + 2 * k - 1))
+
+    return _em_sum(ctx, max(8, (ctx.digits + ctx.guard) // 2), head, term,
+                   ctx.eps_target())
+
+
+def zeta_prime_em(m: int, ctx: PrecisionContext):
+    """zeta'(m) for integer m >= 2, by the term-wise differentiated
+    Euler-Maclaurin formula; remainder bound = first omitted
+    differentiated term with a safety factor of 4."""
+    mp = ctx.mp
+
+    def head(big_n):
+        logs = [None] * (big_n + 1)
+        for n in range(2, big_n + 1):
+            logs[n] = mp.log(n)
+        log_n = logs[big_n]
+        val = mp.mpf(0)
+        for n in range(2, big_n + 1):
+            val -= logs[n] / mp.mpf(n**m)
+        # d/ds [N^{1-s}/(s-1)] and d/ds [-N^{-s}/2] at s = m
+        pow_n1 = mp.mpf(1) / mp.mpf(big_n ** (m - 1))
+        val += pow_n1 * (-log_n / (m - 1) - mp.mpf(1) / (m - 1) ** 2)
+        val += log_n / (2 * mp.mpf(big_n**m))
+        return val
+
+    # harm[j] = sum_{i<j} 1/(m + i), extended as k grows and shared by
+    # _em_sum's restarts: it does not depend on the cutoff
+    harm = [0]
+
+    def term(big_n, k):
+        coeff = Fraction(bernoulli_fraction(2 * k) * perm(m + 2 * k - 2, 2 * k - 1),
+                         factorial(2 * k))
+        while len(harm) < 2 * k:
+            harm.append(harm[-1] + mp.mpf(1) / (m + len(harm) - 1))
+        return (ctx.real(coeff) * (harm[2 * k - 1] - mp.log(big_n))
+                / mp.mpf(big_n ** (m + 2 * k - 1)))
+
+    return _em_sum(ctx, max(8, (ctx.digits + ctx.guard) // 2), head, term,
+                   ctx.eps_target() / 4)
+
+
+def euler_gamma_em(ctx: PrecisionContext):
+    """Euler-Mascheroni constant via
+    gamma = H_N - ln N - 1/(2N) + sum_k B_{2k}/(2k N^{2k});
+    the B_{2k} alternate in sign, so the truncation error is bounded by
+    the first omitted term."""
+    mp = ctx.mp
+
+    def head(big_n):
+        val = mp.mpf(0)
+        for n in range(1, big_n + 1):
+            val += mp.mpf(1) / n
+        val -= mp.log(big_n)
+        val -= mp.mpf(1) / (2 * big_n)
+        return val
+
+    def term(big_n, k):
+        coeff = Fraction(bernoulli_fraction(2 * k), 2 * k)
+        return ctx.real(coeff) / mp.mpf(big_n ** (2 * k))
+
+    return _em_sum(ctx, max(16, (ctx.digits + ctx.guard) // 2), head, term,
+                   ctx.eps_target())
 
 
 # --- combinatorial helpers ---
@@ -270,6 +382,40 @@ def two_pole_K(alpha, beta, c1, c2, terms: int, ctx: PrecisionContext):
     )
     ks.append(c2**4 * rat(p5 / (24 * a1**4)) / cpow((4 * be + 3) / a1))
     return ks[:terms]
+
+
+# --- K-series of a saddle curve by the Lagrange-Burmann formula ---
+
+
+def lagrange_saddle_K(curve, step: int, terms: int, ctx: PrecisionContext):
+    """K_1..K_terms of a saddle curve (the curve and step of a
+    saddle.SaddleExpansion) without solving for z.
+
+    With t = n^{-1/(alpha+1)} the saddle equation reads v = t Q(v)^{1/(alpha+1)}
+    for v = rho and the polynomial Q(v) = sum_i c_i v^{p_i step}, so by
+    Lagrange inversion [t^k] v = (1/k) [v^{k-1}] Q(v)^{k/(alpha+1)}, and
+    K_j is the coefficient at k = 1 + (j-1) step.  The power of Q comes
+    from J. C. P. Miller's recurrence for a power of a series.
+    """
+    c1, _, ell = curve[0]
+    mp = ctx.mp
+    out = []
+    for j in range(terms):
+        k = 1 + j * step
+        f = [mp.mpf(0)] * k  # Q(v)/c_1, cut after v^{k-1}
+        for c, p, _ in curve:
+            if p * step < k:
+                f[p * step] += c / c1
+        e = Fraction(k, ell)
+        pw = [mp.mpf(1)]
+        for n in range(1, k):
+            acc = mp.mpf(0)
+            for i in range(1, n + 1):
+                if f[i]:
+                    acc += ctx.real((e + 1) * i - n) * f[i] * pw[n - i]
+            pw.append(acc / n)
+        out.append(ctx.power_frac(c1, e) * pw[k - 1] / k)
+    return out
 
 
 # --- coefficients of powers of the K-series by enumeration ---

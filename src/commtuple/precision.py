@@ -1,18 +1,18 @@
 """Arbitrary-precision real arithmetic and the zeta-family constants.
 
 Every routine takes an explicit PrecisionContext and returns values
-bound to that context's mpf type.  Truncation cutoffs for the
-Euler-Maclaurin sums are driven by the standard remainder bounds at the
-working precision, never by fixed term counts, so doubling the digits
-of a context reproduces all reported values to the shorter width.  The
-exact Bernoulli numbers those corrections need come from integer
-tangent numbers, in O(m^2) small-integer steps for B_0..B_m.
+bound to that context's mpf type, computed at its working precision.
+zeta at odd integers, zeta' at integers >= 2 and Euler's gamma come
+from mpmath; zeta at even integers and at s <= 0 come from exact
+Bernoulli numbers, built from integer tangent numbers in O(m^2)
+small-integer steps for B_0..B_m.  oracles.py keeps Euler-Maclaurin
+routes for the mpmath values, which the tests compare against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial
 
 from mpmath.ctx_mp import MPContext
 
@@ -110,9 +110,9 @@ def zeta_int(m: int, ctx: PrecisionContext):
     """zeta(m) for integer m >= 2.
 
     Even m goes through the exact Bernoulli closed form
-    zeta(2k) = (-1)^{k+1} B_{2k} (2 pi)^{2k} / (2 (2k)!); odd m through
-    Euler-Maclaurin with the remainder bounded by the first omitted
-    correction term (valid for real m >= 2).
+    zeta(2k) = (-1)^{k+1} B_{2k} (2 pi)^{2k} / (2 (2k)!); odd m is
+    mpmath's zeta at the context's working precision.  The tests check
+    both against the Euler-Maclaurin sums in oracles.py.
     """
     if m < 2:
         raise ValueError("m must be >= 2 (use zeta_nonpos for s <= 0)")
@@ -125,125 +125,31 @@ def zeta_int(m: int, ctx: PrecisionContext):
         coeff = Fraction((-1) ** (k + 1) * bernoulli_fraction(2 * k), 2 * factorial(2 * k))
         val = ctx.real(coeff) * mp.power(2 * mp.pi, m)
     else:
-        val = _zeta_em(m, ctx)
+        val = mp.zeta(m)
     ctx._cache[key] = val
     return val
-
-
-def _em_sum(ctx: PrecisionContext, cutoff: int, head, term, tol):
-    """An Euler-Maclaurin sum head(N) + sum_{k>=1} term(N, k) at N = cutoff.
-
-    The correction terms are added until the first one below tol, which
-    bounds the remainder.  If they start to grow first (the asymptotic
-    series diverges at this N), the sum restarts at twice the cutoff.
-    """
-    mp = ctx.mp
-    while True:
-        val = head(cutoff)
-        prev = mp.inf
-        k = 1
-        while True:
-            t = term(cutoff, k)
-            if abs(t) < tol:
-                return val
-            if abs(t) > prev:
-                break
-            val += t
-            prev = abs(t)
-            k += 1
-        cutoff *= 2
-
-
-def _zeta_em(m: int, ctx: PrecisionContext):
-    mp = ctx.mp
-
-    def head(big_n):
-        val = mp.mpf(0)
-        for n in range(1, big_n + 1):
-            val += mp.mpf(1) / mp.mpf(n**m)
-        val += mp.mpf(1) / ((m - 1) * mp.mpf(big_n ** (m - 1)))
-        val -= mp.mpf(1) / (2 * mp.mpf(big_n**m))
-        return val
-
-    def term(big_n, k):
-        coeff = Fraction(bernoulli_fraction(2 * k) * perm(m + 2 * k - 2, 2 * k - 1),
-                         factorial(2 * k))
-        return ctx.real(coeff) / mp.mpf(big_n ** (m + 2 * k - 1))
-
-    # remainder <= first omitted term
-    return _em_sum(ctx, max(8, (ctx.digits + ctx.guard) // 2), head, term,
-                   ctx.eps_target())
 
 
 def zeta_prime_int(m: int, ctx: PrecisionContext):
-    """zeta'(m) for integer m >= 2, by the term-wise differentiated
-    Euler-Maclaurin formula; remainder bound = first omitted
-    differentiated term with a safety factor of 4."""
+    """zeta'(m) for integer m >= 2: mpmath's first derivative of zeta at
+    the context's working precision, checked in the tests against the
+    differentiated Euler-Maclaurin sum in oracles.py."""
     if m < 2:
         raise ValueError("m must be >= 2")
     key = ("zeta_prime", m)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    mp = ctx.mp
-
-    def head(big_n):
-        logs = [None] * (big_n + 1)
-        for n in range(2, big_n + 1):
-            logs[n] = mp.log(n)
-        log_n = logs[big_n]
-        val = mp.mpf(0)
-        for n in range(2, big_n + 1):
-            val -= logs[n] / mp.mpf(n**m)
-        # d/ds [N^{1-s}/(s-1)] and d/ds [-N^{-s}/2] at s = m
-        pow_n1 = mp.mpf(1) / mp.mpf(big_n ** (m - 1))
-        val += pow_n1 * (-log_n / (m - 1) - mp.mpf(1) / (m - 1) ** 2)
-        val += log_n / (2 * mp.mpf(big_n**m))
-        return val
-
-    # harm[j] = sum_{i<j} 1/(m + i), extended as k grows and shared by
-    # _em_sum's restarts: it does not depend on the cutoff
-    harm = [0]
-
-    def term(big_n, k):
-        coeff = Fraction(bernoulli_fraction(2 * k) * perm(m + 2 * k - 2, 2 * k - 1),
-                         factorial(2 * k))
-        while len(harm) < 2 * k:
-            harm.append(harm[-1] + mp.mpf(1) / (m + len(harm) - 1))
-        return (ctx.real(coeff) * (harm[2 * k - 1] - mp.log(big_n))
-                / mp.mpf(big_n ** (m + 2 * k - 1)))
-
-    val = _em_sum(ctx, max(8, (ctx.digits + ctx.guard) // 2), head, term,
-                  ctx.eps_target() / 4)
-    ctx._cache[key] = val
-    return val
+    if key not in ctx._cache:
+        ctx._cache[key] = ctx.mp.zeta(m, 1, 1)
+    return ctx._cache[key]
 
 
 def euler_gamma(ctx: PrecisionContext):
-    """Euler-Mascheroni constant via
-    gamma = H_N - ln N - 1/(2N) + sum_k B_{2k}/(2k N^{2k});
-    the B_{2k} alternate in sign, so the truncation error is bounded by
-    the first omitted term."""
+    """The Euler-Mascheroni constant: mpmath's at the context's working
+    precision, checked in the tests against the Euler-Maclaurin sum in
+    oracles.py."""
     key = ("gamma",)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    mp = ctx.mp
-
-    def head(big_n):
-        val = mp.mpf(0)
-        for n in range(1, big_n + 1):
-            val += mp.mpf(1) / n
-        val -= mp.log(big_n)
-        val -= mp.mpf(1) / (2 * big_n)
-        return val
-
-    def term(big_n, k):
-        coeff = Fraction(bernoulli_fraction(2 * k), 2 * k)
-        return ctx.real(coeff) / mp.mpf(big_n ** (2 * k))
-
-    val = _em_sum(ctx, max(16, (ctx.digits + ctx.guard) // 2), head, term,
-                  ctx.eps_target())
-    ctx._cache[key] = val
-    return val
+    if key not in ctx._cache:
+        ctx._cache[key] = +ctx.mp.euler
+    return ctx._cache[key]
 
 
 def zeta_prime_neg(d: int, ctx: PrecisionContext):

@@ -14,9 +14,20 @@ correct coefficients per step; the coefficients of 1/z(x) are the K_j of
 
     rho_n = K_1 n^{-1/(alpha+1)} + K_2 n^{-(1+s)/(alpha+1)} + ...
 
-All coefficient arithmetic is dense polynomial-in-x truncated at a
-single internal order (J + 2 for J requested terms).  oracles.py holds
-the Lagrange-inversion route that checks it.
+All coefficient arithmetic is dense polynomial-in-x, truncated at
+orders 2, 4, 8, ... for the Newton steps, as the number of correct
+coefficients grows, up to J + 2 for J requested terms, where one last
+step polishes the rounding.  oracles.py holds the Lagrange-inversion
+routes that check it.
+
+With t = n^{-1/(alpha+1)} the saddle equation reads
+rho = t Q(rho)^{1/(alpha+1)}, Q(v) = sum_i c_i v^{alpha - nu_i}, so by
+Lagrange inversion [t^k] rho = (1/k) [v^{k-1}] Q(v)^{k/(alpha+1)}.  When
+alpha + 1 divides k that power of Q is a polynomial of degree
+(k/(alpha+1)) (alpha - nu_min) < k - 1 (as nu_min >= 1), so the
+coefficient is 0.  saddle_series sets every K_j whose exponent
+(1 + (j-1) s)/(alpha+1) is an integer to an exact 0 rather than keep
+its round-off.
 
 rho_numeric solves the untruncated saddle equation -Phi'(rho) = n by
 Newton's method, each pass one certified fixed-point sum of the pair
@@ -157,8 +168,8 @@ def curve_saddle_series(monomials, terms: int, ctx: PrecisionContext):
 
     Exactly one monomial must have p_i = 0; it carries the largest
     z-power and a positive coefficient.  z(x) is found by Newton's
-    iteration in truncated-series arithmetic at order terms + 2 in x;
-    the K_j are the coefficients of 1/z(x).
+    iteration in truncated-series arithmetic, at orders 2, 4, 8, ... in
+    x up to terms + 2; the K_j are the coefficients of 1/z(x).
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -175,19 +186,22 @@ def curve_saddle_series(monomials, terms: int, ctx: PrecisionContext):
     if any(q > qmax or q < 1 or p < 0 for _, p, q in monomials):
         raise ValueError("monomial powers out of range")
     zero = mp.mpf(0)
-    z = TruncPoly(mp, [ctx.power_frac(gamma1, Fraction(-1, qmax))], trunc)
+    z = TruncPoly(mp, [ctx.power_frac(gamma1, Fraction(-1, qmax))], 0)
     # each Newton step doubles the number of correct x-coefficients,
-    # starting from one; the last step polishes the rounding
-    for _ in range(trunc.bit_length() + 1):
-        powers = [TruncPoly.one(mp, trunc)]
+    # starting from one, so the steps run at orders 2, 4, 8, ... up to
+    # trunc; one more step at trunc polishes the rounding
+    orders = [1 << k for k in range(1, (trunc - 1).bit_length())] + [trunc, trunc]
+    for order in orders:
+        z = TruncPoly(mp, z.coeffs, order)
+        powers = [TruncPoly.one(mp, order)]
         for _ in range(qmax):
             powers.append(powers[-1] * z)
-        f = TruncPoly.zeros(mp, trunc) - 1
-        f_z = TruncPoly.zeros(mp, trunc)
+        f = TruncPoly.zeros(mp, order) - 1
+        f_z = TruncPoly.zeros(mp, order)
         for gam, p, q in monomials:
             shift = [zero] * p  # times x^p
-            f = f + TruncPoly(mp, shift + powers[q].coeffs, trunc) * gam
-            f_z = f_z + TruncPoly(mp, shift + powers[q - 1].coeffs, trunc) * (gam * q)
+            f = f + TruncPoly(mp, shift + powers[q].coeffs, order) * gam
+            f_z = f_z + TruncPoly(mp, shift + powers[q - 1].coeffs, order) * (gam * q)
         z = z - f * f_z.inverse()
     recip = z.inverse()
     return [recip.coeff(j) for j in range(terms)]
@@ -205,6 +219,10 @@ def saddle_series(data, ctx: PrecisionContext) -> SaddleExpansion:
     step = gcd(*(alpha - nu for nu in nus)) or alpha + 1
     curve = tuple((c, (alpha - nu) // step, nu + 1) for c, nu in zip(cs, nus))
     K = curve_saddle_series(curve, alpha // step + 2, ctx)
+    # K_j with an integral exponent (1 + (j-1) s)/(alpha+1) is exactly 0
+    # (see the module docstring)
+    zero = ctx.mp.mpf(0)
+    K = [zero if (1 + j * step) % (alpha + 1) == 0 else k for j, k in enumerate(K)]
     return SaddleExpansion(curve, step, tuple(K))
 
 

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -593,14 +594,17 @@ GOLDEN_COMMANDS = {
     "constants-ell3": "constants --ell 3",
     "constants-ell5-digits100": "constants --ell 5 --digits 100",
     "constants-ell5-terms3": "constants --ell 5 --terms 3",
+    "constants-ell7": "constants --ell 7",
     "constants-ell8": "constants --ell 8",
     "constants-ell12": "constants --ell 12",
     "constants-power0": "constants --family power --d 0",
     "constants-power1-json": "constants --family power --d 1 --format json",
+    "constants-power2-digits120": "constants --family power --d 2 --digits 120",
     "constants-power3-json": "constants --family power --d 3 --format json",
     "constants-power4-json": "constants --family power --d 4 --format json",
     "compare-ell3": "compare --ell 3 --points 50,200,1000",
     "compare-ell3-terms1": "compare --ell 3 --terms 1 --points 50,200,1000",
+    "compare-ell8": "compare --ell 8 --points 100,1000",
     "seq-power2": "seq --family power --d 2 --max-n 40",
     "seq-polygonal5-json": "seq --family polygonal --k 5 --max-n 40 --format json",
     "seq-table": "seq --family table-file --table {golden}/weights.csv --max-n 20",
@@ -638,6 +642,27 @@ def _golden_text(command: str) -> str:
 def test_golden_output(name):
     want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert _golden_text(GOLDEN_COMMANDS[name]) == want
+
+
+def test_parser_keeps_no_state():
+    # main builds its parser once per process and reuses it: every golden
+    # command, run twice in a shuffled order with an argparse refusal and
+    # an error: refusal between the two runs, keeps its pinned bytes
+    first, second = sorted(GOLDEN_COMMANDS), sorted(GOLDEN_COMMANDS)
+    random.Random(2101).shuffle(first)
+    random.Random(2102).shuffle(second)
+    for name in first + ["argparse-refusal", "error-refusal"] + second:
+        if name == "argparse-refusal":
+            with pytest.raises(SystemExit) as refused:
+                _golden_text("constants --ell x")
+            assert refused.value.code == 2
+        elif name == "error-refusal":
+            text = _golden_text("seq --ell 2 --max-n 5 --format text")
+            assert "exit status: 1\n" in text and "\nerror: " in text
+        else:
+            want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+            assert _golden_text(GOLDEN_COMMANDS[name]) == want, name
+    assert cli._build_parser.cache_info().currsize == 1
 
 
 if __name__ == "__main__":

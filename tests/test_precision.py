@@ -17,8 +17,13 @@ from commtuple import (
     zeta_prime_neg,
 )
 from commtuple import precision
-from commtuple.oracles import bernoulli_recurrence
-from commtuple.precision import _em_sum
+from commtuple.oracles import (
+    _em_sum,
+    bernoulli_recurrence,
+    euler_gamma_em,
+    zeta_em,
+    zeta_prime_em,
+)
 
 
 def as_mp(ctx, x):
@@ -111,6 +116,20 @@ def test_euler_gamma(ctx50):
     with mpmath.workdps(70):
         ref = mpmath.nstr(+mpmath.euler, 60)
     assert abs(euler_gamma(ctx50) - as_mp(ctx50, ref)) < as_mp(ctx50, "1e-48")
+
+
+@pytest.mark.parametrize("digits", [50, 100])
+def test_mpmath_values_match_euler_maclaurin(digits):
+    # zeta(odd), zeta' and gamma come from mpmath; the Euler-Maclaurin
+    # sums of the oracle module are the independent reference, which
+    # agrees to within two digits of the working precision
+    ctx = PrecisionContext(digits)
+    tol = ctx.mp.mpf(10) ** (2 - digits)
+    for m in range(3, 16, 2):
+        assert abs(zeta_int(m, ctx) - zeta_em(m, ctx)) < tol, m
+    for m in range(2, 8):
+        assert abs(zeta_prime_int(m, ctx) - zeta_prime_em(m, ctx)) < tol, m
+    assert abs(euler_gamma(ctx) - euler_gamma_em(ctx)) < tol
 
 
 def test_em_sum_restarts_when_terms_grow(ctx50):

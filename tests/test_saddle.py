@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commtuple import (
+    LSeriesData,
     PolygonalIndicator,
     Power,
     PrecisionContext,
@@ -20,12 +21,19 @@ from commtuple import (
     dressed_residue,
     evaluate_exponent,
     lf_data_ntuple,
+    lf_data_power,
     ntuple_exponent,
     rho_numeric,
     saddle_series,
 )
 from commtuple import saddle
-from commtuple.oracles import lagrange_invert, multinomial, two_pole_K, weighted_partitions
+from commtuple.oracles import (
+    lagrange_invert,
+    lagrange_saddle_K,
+    multinomial,
+    two_pole_K,
+    weighted_partitions,
+)
 
 
 def curve_saddle_series_lagrange(monomials, terms, ctx):
@@ -457,6 +465,54 @@ def test_curve_series_matches_lagrange_oracle(mons, terms):
     bound = mp.mpf(10) ** -(ctx.digits - 5)
     for x, y in zip(got, want):
         assert abs(x - y) <= bound * max(1, abs(y))
+
+
+@st.composite
+def generated_poles(draw):
+    """Two or three integer poles alpha > nu >= 1 (alpha <= 8), the
+    leading residue positive and the others nonzero of either sign."""
+    nus = sorted(draw(st.sets(st.integers(1, 8), min_size=2, max_size=3)), reverse=True)
+    residues = [draw(st.fractions(Fraction(1, 4), 4, max_denominator=64))]
+    for _ in nus[1:]:
+        residues.append(draw(st.fractions(-2, 2, max_denominator=64)
+                             .filter(lambda q: q != 0)))
+    return tuple((Fraction(nu), r) for nu, r in zip(nus, residues))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(st.just("ntuple"), st.integers(2, 12)),
+                 st.tuples(st.just("power"), st.integers(0, 4)),
+                 st.tuples(st.just("poles"), generated_poles())),
+       st.sampled_from([50, 100]))
+def test_saddle_series_matches_lagrange_burmann(family, digits):
+    # K_j is an exact 0 where its exponent (1 + (j-1) s)/(alpha+1) is an
+    # integer, and where (j-1) s is no sum of the gaps alpha - nu_i (so
+    # every K_j past K_1 of a single pole); every other K_j of the Newton
+    # route matches the Lagrange-Burmann oracle
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    kind, arg = family
+    if kind == "ntuple":
+        data = lf_data_ntuple(arg, ctx)
+    elif kind == "power":
+        data = lf_data_power(arg, ctx)
+    else:
+        data = LSeriesData("generated", arg, Fraction(0), mp.mpf(0))
+    expansion = saddle_series(data, ctx)
+    terms = len(expansion.K)
+    got = curve_saddle_series(expansion.curve, terms, ctx)
+    want = lagrange_saddle_K(expansion.curve, expansion.step, terms, ctx)
+    for j in range(1, terms + 1):
+        integral = (1 + (j - 1) * expansion.step) % expansion.ell == 0
+        k, x, y = expansion.K[j - 1], got[j - 1], want[j - 1]
+        assert (k == 0) == (integral or y == 0), j
+        if integral:
+            assert abs(y) <= mp.mpf("1e-45") * want[0], j
+        elif y != 0:
+            assert k == x and abs(x - y) <= mp.mpf("1e-45") * abs(y), j
+    if kind == "ntuple":
+        # gaps 1 and 2 reach every x-power: zero exactly when ell | j
+        assert [k == 0 for k in expansion.K] == [j % arg == 0 for j in range(1, terms + 1)]
 
 
 @settings(max_examples=12, deadline=None)
