@@ -8,15 +8,18 @@ the kernel doubles as an integrality witness for each computed row.
 This recurrence is the hot path of the whole package.  The kernel
 `_run_kernel` solves the rows by divide and conquer: the share of a
 solved left half in every row of the right half is a product of two
-polynomials per piece of _SLICE digits of the left rows, each formed by
+polynomials per piece of the left rows' digits, each formed by
 Kronecker substitution in stdlib `decimal` (libmpdec multiplies large
 operands by number-theoretic transform, where Python `int` has only
-Karatsuba), and short row ranges are finished by dot products.  Piece
-j spans only the rows from the first one that has it, so the products
-cover about the area under the table's digit curve rather than its
-bounding box.  The packed sums hold only while every c(k) >= 0, which
-every ExponentSpec gives (its weights f are non-negative), so the
-kernel refuses a negative c(k).
+Karatsuba), and short row ranges are finished by dot products.  A
+piece is _SLICE digits wide, or wider where its product would leave
+the transform libmpdec pads it to partly empty: the piece then fills
+that transform, which costs the same.  Piece j spans only the rows
+from the first one that has it, so the products cover about the area
+under the table's digit curve rather than its bounding box.  The
+packed sums hold only while every c(k) >= 0, which every ExponentSpec
+gives (its weights f are non-negative), so the kernel refuses a
+negative c(k).
 `oracles.expand_kernel` is the plain row-by-row oracle, signed c
 included.
 """
@@ -143,12 +146,69 @@ def _dec_int(d: Decimal) -> int:
 
 # most rows a leaf finishes by one dot product each: a larger range
 # splits, so every left half of a cross term holds at least 96 rows,
-# enough for a Kronecker product to beat dot products; digits of one
-# piece of a left row, a cross term making one product per piece: of
+# enough for a Kronecker product to beat dot products; digits a piece of
+# a left row starts from, a cross term making one product per piece: of
 # 150, 300 and 600, 300 built N_4 and N_5 to 10^4 fastest, and keeps
-# N_2 and N_3 to 3000 (up to 209 digits) in one piece
+# N_2 and N_3 to 3000 (up to 209 digits) in one piece.  A piece whose
+# product passes 1024 words then widens to fill the transform length
+# that product already needs (_piece_width); narrowing pieces to reach
+# a shorter transform instead cut N_3's rows in two and made it up to
+# 40 % slower.
 _LEAF = 191
 _SLICE = 300
+
+# libmpdec keeps a coefficient in words of 19 digits.  It multiplies by
+# Karatsuba while the two factors hold at most 1024 words together, and
+# above that by number-theoretic transform, padded to the least 2^k or
+# 3 2^k words that holds the product, so the cost of a product follows
+# that length and not its own size (one product, process CPU: 26.5 ms at
+# 32 000 words and 44.0 ms at 33 000, 44.2 at 48 000 and 55.7 at 50 000,
+# 55.8 at 64 000 and 96.5 at 66 000)
+_WORD = 19
+_KARATSUBA_WORDS = 1024
+
+
+def _transform_len(words: int) -> int:
+    """Words libmpdec pads a product of more than 1024 words to: the
+    least 2^j or 3 2^j not below it."""
+    k = (words - 1).bit_length()
+    three = 3 << (k - 2)
+    return three if words <= three else 1 << k
+
+
+def _packed_words(nx: int, ny: int, extra: int, width: int) -> int:
+    """Words of the two factors _middle_product packs from nx pieces
+    below 10^width and ny values c(k) below 10^extra.  Its slot holds the
+    digits of the largest piece (width), of the largest c(k) and of nx,
+    and 3 more, so extra is those of the largest c(k) and of nx plus 2.
+    The top slot of each factor holds only its own value."""
+    slot = width + extra
+    x_digits = (nx - 1) * slot + width
+    y_digits = (ny - 1) * slot + extra
+    return -(-x_digits // _WORD) - (-y_digits // _WORD)
+
+
+def _piece_width(nx: int, ny: int, extra: int, left: int) -> int:
+    """Digits of a piece of nx left rows that meets ny values c(k), with
+    `left` digits of the widest row at or above its first one.  It is
+    min(_SLICE, left) wide, or, when the Kronecker product of that piece
+    passes 1024 words, as wide as it can be up to `left` while its
+    product (_packed_words) still fits the same transform length, which
+    costs the same."""
+    width = min(_SLICE, left)
+    words = _packed_words(nx, ny, extra, width)
+    if words <= _KARATSUBA_WORDS:
+        return width
+    room = _transform_len(words)
+    # width fits the room; left + 1 stands for a width that does not
+    fits, over = width, left + 1
+    while over - fits > 1:
+        w = (fits + over) // 2
+        if _packed_words(nx, ny, extra, w) <= room:
+            fits = w
+        else:
+            over = w
+    return fits
 
 
 class _Expansion:
@@ -182,23 +242,44 @@ class _Expansion:
             dp[n] = Decimal(q)
             dacc[n] = None
 
+    def plan(self, l: int, mid: int, r: int) -> list[tuple[int, int]]:
+        """(first digit, first row - l) of each piece that the cross term
+        of rows [l, mid) into [mid, r) cuts the left rows into: a piece
+        takes _piece_width digits of the rows from the first one that
+        has its first digit, and the last piece ends at the top of the
+        widest row."""
+        tops = list(map(Decimal.adjusted, self.dp[l:mid]))
+        widest = max(tops) + 1
+        plan: list[tuple[int, int]] = []
+        start = 0
+        while start < widest:
+            a = next(i for i, top in enumerate(tops) if top >= start)
+            plan.append((start, a))
+            width = widest - start
+            if width > _SLICE:
+                # rows l+a..mid-1 meet c(1..r-1-l-a)
+                nx, ny = mid - l - a, r - l - a - 1
+                extra = max(self.dc[1 : ny + 1]).adjusted() + len(str(nx)) + 2
+                width = _piece_width(nx, ny, extra, width)
+            start += width
+        return plan
+
     def cross(self, l: int, mid: int, r: int) -> None:
         """Add sum_{i in [l, mid)} p(i) c(n-i) to row n for n in [mid, r)."""
-        pieces = []
-        for d in self.dp[l:mid]:
-            row: list[Decimal] = []
-            _unpack(d, d.adjusted() // _SLICE + 1, _SLICE, row)
-            pieces.append(row)
-        zero = Decimal(0)
-        for j in range(max(map(len, pieces))):
-            # piece j of rows l+a..mid-1 (0 for a row too short to have
-            # one), l+a the first row that has one; they meet
-            # c(1..r-1-l-a), and row n is coefficient n-l-a-1
-            a = next(i for i, row in enumerate(pieces) if len(row) > j)
-            xs = [row[j] if len(row) > j else zero for row in pieces[a:]]
+        # the pieces are cut off the rows from the top one down, so
+        # rest[i] holds what is left of row l+i below the current piece
+        rest = self.dp[l:mid]
+        for start, a in reversed(self.plan(l, mid, r)):
+            # the piece of rows l+a..mid-1 (0 for a row too short to
+            # have it) meets c(1..r-1-l-a), and row n is coefficient
+            # n-l-a-1
+            xs = rest[a:]
+            if start:
+                for i in range(a, mid - l):
+                    rest[i], xs[i - a] = _split(rest[i], start)
             shares = _middle_product(xs, self.dc[1 : r - l - a], r - mid)
             for n, share in enumerate(shares, mid):
-                self.dacc[n] += share.scaleb(j * _SLICE)
+                self.dacc[n] += share.scaleb(start)
 
 
 def _run_kernel(c: list[int], n_max: int) -> list[int]:
@@ -209,13 +290,17 @@ def _run_kernel(c: list[int], n_max: int) -> list[int]:
     row n in [mid, r) is added to that row's accumulator, then the right
     half is solved.  A leaf of at most _LEAF rows finishes each row with
     one dot product over the rows of the leaf before it.  A cross term
-    cuts each left row once into base-10^_SLICE pieces and makes one
-    Kronecker product per piece j (_middle_product): piece j of the rows
-    from the first one that has it (a later, shorter row gives 0) and
-    the c(k) they meet are packed into the slots of one Decimal each,
-    libmpdec multiplies the two by number-theoretic transform, and each
-    slot of the wanted range of the product is piece j's share of one
-    row, added to it times 10^(j _SLICE).  A table whose rows all stay
+    plans where its left rows are cut (_Expansion.plan), cuts each row
+    once and makes one Kronecker product per piece j (_middle_product):
+    piece j of the rows from the first one that has it (a later, shorter
+    row gives 0) and the c(k) they meet are packed into the slots of one
+    Decimal each, libmpdec multiplies the two by number-theoretic
+    transform, and each slot of the wanted range of the product is piece
+    j's share of one row, added to it times 10^(first digit of piece j).
+    A piece is min(_SLICE, digits left in the widest row) wide; when its
+    product passes 1024 words, it widens while the product still fits
+    the transform length libmpdec pads it to (_piece_width), so it
+    covers more digits at the same cost.  A table whose rows all stay
     under _SLICE digits makes one product per cross term.  A negative
     c(k), whose sums could borrow across slots, raises ValueError before
     any row is solved.  Every row is divided exactly by n, or

@@ -126,6 +126,34 @@ def test_no_unused_imports():
     assert _unused_imports(sample) == [(3, "js"), (4, "y")]
 
 
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(source):
+    """(line, name) of each os.environ or os.getenv the source reads,
+    as an attribute or a from-import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in ENVIRONMENT_READERS]
+    return sorted(found)
+
+
+def test_no_module_reads_the_environment():
+    # the kernel's plan, and any tuning after it, follows from the input
+    # alone: no setting hides behind an environment variable
+    reads = [f"{path.relative_to(PACKAGE)}:{line} {name}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for line, name in _environment_reads(path.read_text(encoding="utf-8"))]
+    assert reads == []
+    sample = ("import os\nfrom os import getenv as g\nos.environ.get('A')\n"
+              "x = os.getenv('B')\nos.path.join('c')\n")
+    assert _environment_reads(sample) == [(2, "getenv"), (3, "environ"), (4, "getenv")]
+
+
 # what `import commtuple` must leave for the first use of an analytic name
 ANALYTIC_MODULES = ("mpmath", "commtuple.precision", "commtuple.lfunction",
                     "commtuple.saddle", "commtuple.asymptotics", "commtuple.oracles")

@@ -215,7 +215,7 @@ def test_integrality_witness_through_high_pieces(monkeypatch):
     assert p[199] == 0 and len(str(p[198])) > 3 * series._SLICE
     cross = series._Expansion.cross
     for piece in (1, 2):
-        # a 1 in piece 1 or 2 of row 199's copy meets row 201 through
+        # a 1 at digit 300 or 600 of row 199's copy meets row 201 through
         # c(2) = 2 10^40 alone, and 201 divides no 2 10^m
         def corrupt(self, l, mid, r, piece=piece):
             if (l, mid) == (0, 200):
@@ -225,6 +225,114 @@ def test_integrality_witness_through_high_pieces(monkeypatch):
         monkeypatch.setattr(series._Expansion, "cross", corrupt)
         with pytest.raises(ArithmeticError, match="at n=201$"):
             _run_kernel(c, n_max)
+
+
+def test_integrality_witness_at_planned_piece_boundaries(monkeypatch):
+    # the f(2) = 10^40 table above: a 1 at the first digit of each piece
+    # the root cross term plans must reach row 201 the same way
+    n_max = 400
+    c = weighted_divisor_table([0, 0, 10**40] + [0] * (n_max - 2))
+    plans = []
+    cross = series._Expansion.cross
+
+    def record(self, l, mid, r):
+        if (l, mid) == (0, 200):
+            plans.append(self.plan(l, mid, r))
+        cross(self, l, mid, r)
+
+    monkeypatch.setattr(series._Expansion, "cross", record)
+    _run_kernel(c, n_max)
+    [plan] = plans
+    starts = [start for start, _ in plan]
+    assert starts[0] == 0 and len(starts) > 3
+    # past 1024 words the pieces are wider than _SLICE
+    assert all(b - a > series._SLICE for a, b in zip(starts, starts[1:]))
+    for start in starts:
+        def corrupt(self, l, mid, r, start=start):
+            if (l, mid) == (0, 200):
+                self.dp[199] += Decimal(10) ** start
+            cross(self, l, mid, r)
+
+        monkeypatch.setattr(series._Expansion, "cross", corrupt)
+        with pytest.raises(ArithmeticError, match="at n=201$"):
+            _run_kernel(c, n_max)
+
+
+def test_transform_len_is_libmpdecs():
+    # the least 2^j or 3 2^j words that hold the product
+    lengths = sorted({m << j for m in (1, 3) for j in range(25)})
+    for words in [*range(1025, 5000), 32_000, 33_000, 49_152, 49_153, 98_305]:
+        assert series._transform_len(words) == min(t for t in lengths if t >= words)
+
+
+def test_piece_width_fills_the_same_transform():
+    for nx in (1, 2, 96, 150, 191, 700, 2500):
+        for ny in (1, 96, 300, 1400, 5000):
+            for extra in (3, 9, 30, 70):
+                for left in (1, 40, 299, 300, 301, 420, 900, 3805, 20000):
+                    width = series._piece_width(nx, ny, extra, left)
+                    base = min(series._SLICE, left)
+                    assert base <= width <= left
+                    words = series._packed_words(nx, ny, extra, base)
+                    if words <= 1024:
+                        assert width == base
+                        continue
+                    room = series._transform_len(words)
+                    assert series._transform_len(
+                        series._packed_words(nx, ny, extra, width)) <= room
+                    # and one digit more would need a longer transform
+                    if width < left:
+                        assert series._packed_words(nx, ny, extra, width + 1) > room
+
+
+def test_packed_words_bound_middle_products_factors(monkeypatch):
+    # _piece_width's size model against the factors _middle_product
+    # really packs: never fewer words, and at most one more
+    rng = random.Random(22)
+    packed = []
+    pack = series._pack
+
+    def record(xs, width):
+        d = pack(xs, width)
+        packed.append(-(-len(d.as_tuple().digits) // 19))
+        return d
+
+    monkeypatch.setattr(series, "_pack", record)
+    for nx, ny, width, c_digits in [(96, 191, 300, 9), (150, 400, 437, 31),
+                                    (1, 5, 20, 1), (700, 1401, 360, 60)]:
+        xs = [rng.randrange(10**width) for _ in range(nx - 1)]
+        xs.append(rng.randrange(10 ** (width - 1), 10**width))
+        ys = [rng.randrange(10**c_digits) for _ in range(ny - 1)]
+        ys.append(10**c_digits - 1)
+        packed.clear()
+        with localcontext(_exact_context()):
+            _middle_product([Decimal(x) for x in xs], [Decimal(y) for y in ys], 1)
+        extra = (c_digits - 1) + len(str(nx)) + 2
+        model = series._packed_words(nx, ny, extra, width)
+        assert 0 <= model - sum(packed) <= 1
+
+
+@st.composite
+def wide_weight_tables(draw):
+    """c(1..N) of f(1..N) that starts with a weight of up to 10^40 and
+    goes on in runs of zeros and of such weights: rows of thousands of
+    digits whose cross terms pass 1024 words, next to zero or short
+    rows (f(1) = 0 makes p(1) = 0), so the rows are not monotone."""
+    n_max = draw(st.sampled_from([192, 256, 300]))
+    values = [0] * draw(st.integers(0, 2))
+    while len(values) < n_max:
+        values += draw(st.lists(st.integers(10**20, 10**40), min_size=1, max_size=3))
+        values += [0] * draw(st.integers(0, 60))
+    return n_max, weighted_divisor_table([0] + values[:n_max])
+
+
+@settings(max_examples=10, deadline=None)
+@given(wide_weight_tables())
+def test_kernel_matches_oracle_on_planned_pieces(table):
+    n_max, c = table
+    p = _run_kernel(c, n_max)
+    assert max(p).bit_length() > 3.3 * 2 * series._SLICE
+    assert p == expand_kernel(c, n_max)
 
 
 @pytest.mark.parametrize("ell, n_max, serialise, digest", [
