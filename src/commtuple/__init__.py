@@ -9,7 +9,10 @@ products, log-convexity) over big-integer sequences.  Every layer has an
 independent slower oracle: Hermite-normal-form enumeration for subgroup
 counts, direct product expansion and the pentagonal recurrence for
 series, brute-force permutation counting for small groups, and a
-numeric saddle-point solver for the series coefficients.
+numeric saddle-point solver for the series coefficients.  The oracles
+live in commtuple.oracles, which this namespace neither exports nor
+loads; only the numeric saddle solver rho_numeric stays in the saddle
+module and in this namespace, where the benchmark harness binds it.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +26,6 @@ from .arith import (
     SubgroupCount,
     TableExponent,
     evaluate_exponent,
-    hnf_subgroup_count,
     is_polygonal,
     subgroup_count_table,
 )
@@ -36,13 +38,10 @@ from .inequalities import (
 )
 from .series import (
     BigIntSeq,
-    brute_force_commuting,
     expand_product,
-    expand_product_direct,
     factorial_scaled,
     ntuple_exponent,
     ntuple_sequence,
-    pentagonal_p,
     seq_to_csv,
     seq_to_json,
     weighted_divisor_table,
@@ -85,18 +84,14 @@ __all__ = sorted([
     "SubgroupCount",
     "TableExponent",
     "bessenrodt_ono_scan",
-    "brute_force_commuting",
     "evaluate_exponent",
     "expand_product",
-    "expand_product_direct",
     "factorial_scaled",
-    "hnf_subgroup_count",
     "is_polygonal",
     "log_concavity_scan",
     "log_convexity_scan",
     "ntuple_exponent",
     "ntuple_sequence",
-    "pentagonal_p",
     "report_to_json",
     "seq_to_csv",
     "seq_to_json",

@@ -12,7 +12,6 @@ tables are 1-indexed Python lists with a zero sentinel stored at index 0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import isqrt
 
@@ -146,40 +145,6 @@ def subgroup_count_table(ell: int, n_max: int) -> list[int]:
                 den *= p**i - 1
             table[n] = num // den
     return table
-
-
-def _ordered_factorizations(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for d in range(1, n + 1):
-        if n % d == 0:
-            for rest in _ordered_factorizations(n // d, parts - 1):
-                yield (d,) + rest
-
-
-def hnf_subgroup_count(ell: int, n: int) -> int:
-    """Count index-n sublattices of Z^ell by enumerating Hermite normal
-    forms one matrix at a time.
-
-    Upper triangular, diagonal (d_1, ..., d_ell) with product n, and the
-    entries above the diagonal in column j each range over 0..d_j - 1.
-    Deliberately brute force; serves as the oracle for
-    subgroup_count_table.
-    """
-    if not 1 <= ell <= 4:
-        raise ValueError("ell must be in 1..4")
-    if not 1 <= n <= 64:
-        raise ValueError("n must be in 1..64")
-    count = 0
-    for diag in _ordered_factorizations(n, ell):
-        cols = []
-        for j in range(ell):
-            # column j (0-based) has j entries above the diagonal
-            cols.extend([range(diag[j])] * j)
-        for _entries in itertools.product(*cols):
-            count += 1
-    return count
 
 
 def is_polygonal(k: int, n: int) -> bool:

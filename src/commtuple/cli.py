@@ -31,7 +31,6 @@ from .arith import (
     PolygonalIndicator,
     Power,
     TableExponent,
-    hnf_subgroup_count,
     subgroup_count_table,
 )
 from .inequalities import (
@@ -42,12 +41,9 @@ from .inequalities import (
 )
 from .series import (
     BigIntSeq,
-    brute_force_commuting,
     expand_product,
-    expand_product_direct,
     ntuple_exponent,
     ntuple_sequence,
-    pentagonal_p,
     seq_to_csv,
     seq_to_json,
 )
@@ -317,8 +313,19 @@ def _cmd_bo(args: argparse.Namespace) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
+    from .oracles import (
+        brute_force_commuting,
+        expand_product_direct,
+        hnf_subgroup_count,
+        pentagonal_p,
+    )
+
     op = args.oracle_op
-    if op in ("hnf", "commuting"):
+    counts = op in ("hnf", "commuting")  # one count, else a sequence
+    unread, value = ("--max-n", args.max_n) if counts else ("--n", args.n)
+    if value is not None:
+        raise ValueError(f"oracle {op} does not take {unread}")
+    if counts:
         if args.ell is None or args.n is None:
             raise ValueError(f"oracle {op} requires --ell and --n")
         count, ell_max, n_lo, n_hi = {  # the ranges each oracle supports

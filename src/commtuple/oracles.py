@@ -1,25 +1,38 @@
 """Independent slow routes for the exact kernel and the saddle-point
-constants, for the tests only: no production module imports this one,
-and the package namespace exports none of its names.  dirichlet_convolve
-convolves weight tables, behind the tests' oracle for the subgroup
-counts; expand_kernel solves the product-expansion recurrence row by row;
+constants, for the tests and the `oracle` subcommand.  One rule: the
+oracles live here (rho_numeric aside; see the saddle module), the
+package namespace exports none of their names, and the only import of
+this module outside the tests is the one inside cli._cmd_oracle, so no
+other command loads it.
+
+hnf_subgroup_count enumerates Hermite normal forms and
+dirichlet_convolve convolves weight tables, the two routes to the
+subgroup counts; expand_kernel solves the product-expansion recurrence
+row by row, expand_product_direct multiplies the truncated factors and
+pentagonal_p runs the pentagonal-number recurrence;
+brute_force_commuting counts commuting tuples of explicit permutations;
 bernoulli_recurrence builds B_0..B_m from the binomial recurrence;
 two_pole_K gives closed forms of K_1..K_5 for two poles; lagrange_invert
-inverts series compositionally, behind the tests' oracle for
-curve_saddle_series, and lagrange_saddle_K reads the K_j of a saddle
-curve off the Lagrange-Burmann formula; recip_power_coeff enumerates
-weighted multi-indices to assemble the A_k without series arithmetic;
-and zeta_em, zeta_prime_em and euler_gamma_em sum Euler-Maclaurin
-series for the values that precision.py takes from mpmath.
+inverts series compositionally, behind curve_saddle_series_lagrange,
+the oracle for curve_saddle_series, and lagrange_saddle_K reads the K_j
+of a saddle curve off the Lagrange-Burmann formula; recip_power_coeff
+enumerates weighted multi-indices to assemble the A_k without series
+arithmetic; and zeta_em, zeta_prime_em and euler_gamma_em sum
+Euler-Maclaurin series for the values that precision.py takes from
+mpmath.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial, perm
 
+from .arith import ExponentSpec, evaluate_exponent
 from .precision import PrecisionContext, bernoulli_fraction
 from .saddle import TruncPoly
+from .series import BigIntSeq
 
 # --- weight tables ---
 
@@ -38,6 +51,40 @@ def dirichlet_convolve(a: list[int], b: list[int]) -> list[int]:
             for m in range(d, n_max + 1, d):
                 out[m] += ad * b[m // d]
     return out
+
+
+def _ordered_factorizations(n: int, parts: int):
+    if parts == 1:
+        yield (n,)
+        return
+    for d in range(1, n + 1):
+        if n % d == 0:
+            for rest in _ordered_factorizations(n // d, parts - 1):
+                yield (d,) + rest
+
+
+def hnf_subgroup_count(ell: int, n: int) -> int:
+    """Count index-n sublattices of Z^ell by enumerating Hermite normal
+    forms one matrix at a time.
+
+    Upper triangular, diagonal (d_1, ..., d_ell) with product n, and the
+    entries above the diagonal in column j each range over 0..d_j - 1.
+    Deliberately brute force; serves as the oracle for
+    subgroup_count_table.
+    """
+    if not 1 <= ell <= 4:
+        raise ValueError("ell must be in 1..4")
+    if not 1 <= n <= 64:
+        raise ValueError("n must be in 1..64")
+    count = 0
+    for diag in _ordered_factorizations(n, ell):
+        cols = []
+        for j in range(ell):
+            # column j (0-based) has j entries above the diagonal
+            cols.extend([range(diag[j])] * j)
+        for _entries in itertools.product(*cols):
+            count += 1
+    return count
 
 
 # --- product expansion ---
@@ -62,6 +109,90 @@ def expand_kernel(c: list, n_max: int) -> list:
             raise ArithmeticError(f"inexact division at n={n}")
         p[n] = q
     return p
+
+
+def expand_product_direct(spec: ExponentSpec, n_max: int) -> BigIntSeq:
+    """Same coefficients by multiplying the truncated factors directly.
+
+    (1 - q^n)^{-f} = sum_j binom(f+j-1, j) q^{nj}.  Quadratic in n_max
+    with no recurrence; independent route used to pin expand_product.
+    """
+    if not 0 <= n_max <= 500:
+        raise ValueError("n_max must be in 0..500 for the direct route")
+    f = evaluate_exponent(spec, n_max)
+    p = [0] * (n_max + 1)
+    p[0] = 1
+    for n in range(1, n_max + 1):
+        fn = f[n]
+        if fn == 0:
+            continue
+        factor = [0] * (n_max + 1)
+        for j in range(0, n_max // n + 1):
+            factor[n * j] = comb(fn + j - 1, j)
+        new = [0] * (n_max + 1)
+        for i, pi in enumerate(p):
+            if pi:
+                for j in range(0, (n_max - i) // n + 1):
+                    new[i + n * j] += pi * factor[n * j]
+        p = new
+    return BigIntSeq(p, 0, spec.label)
+
+
+def pentagonal_p(n_max: int) -> BigIntSeq:
+    """Partition numbers p(0..n_max) via the pentagonal-number recurrence
+    p(n) = sum_{j>=1} (-1)^{j+1} [p(n - j(3j-1)/2) + p(n - j(3j+1)/2)]."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    p = [0] * (n_max + 1)
+    p[0] = 1
+    for n in range(1, n_max + 1):
+        total = 0
+        j = 1
+        while True:
+            g1 = j * (3 * j - 1) // 2
+            if g1 > n:
+                break
+            sign = 1 if j % 2 == 1 else -1
+            total += sign * p[n - g1]
+            g2 = j * (3 * j + 1) // 2
+            if g2 <= n:
+                total += sign * p[n - g2]
+            j += 1
+        p[n] = total
+    return BigIntSeq(p, 0, "partitions")
+
+
+# --- commuting tuples over explicit permutations ---
+
+
+def _commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    return all(p[q[i]] == q[p[i]] for i in range(len(p)))
+
+
+def brute_force_commuting(ell: int, n: int) -> int:
+    """|{(pi_1..pi_ell) pairwise commuting}| by nested loops over S_n,
+    each permutation checked against the earlier ones (S_0 holds the
+    empty permutation, so n = 0 counts 1).
+
+    Supported for ell <= 3, n <= 5.
+    """
+    if not 1 <= ell <= 3:
+        raise ValueError("ell must be in 1..3")
+    if not 0 <= n <= 5:
+        raise ValueError("n must be in 0..5")
+    perms = list(permutations(range(n)))
+    if ell == 1:
+        return len(perms)
+    if ell == 2:
+        return sum(1 for p in perms for q in perms if _commutes(p, q))
+    return sum(
+        1
+        for p in perms
+        for q in perms
+        if _commutes(p, q)
+        for r in perms
+        if _commutes(p, r) and _commutes(q, r)
+    )
 
 
 # --- Bernoulli numbers ---
@@ -341,6 +472,39 @@ def _lagrange_formula(a, terms: int):
             acc = acc + term * coef.numerator / coef.denominator
         out.append(acc)
     return out
+
+
+# --- K-series of a saddle curve by compositional inversion ---
+
+
+def curve_saddle_series_lagrange(monomials, terms, ctx):
+    """Oracle for curve_saddle_series: shift z to the leading root z_0,
+    invert the shifted curve w -> sum_k a_k(x) w^k compositionally, and
+    compose the inverse with -a_0(x); the K_j are the coefficients of
+    1/(z_0 + w(x)).  Same truncation, terms + 2 in x."""
+    trunc = terms + 2
+    mp = ctx.mp
+    gamma1, _, qmax = next(m for m in monomials if m[1] == 0)
+    z0 = ctx.power_frac(gamma1, Fraction(-1, qmax))
+    # a_k(x) = [w^k] (curve at z = w + z0); a_0 has no constant term
+    a = []
+    for k in range(qmax + 1):
+        coeffs = [mp.mpf(0)] * (trunc + 1)
+        for gam, p, q in monomials:
+            if k <= q and p <= trunc:
+                coeffs[p] += gam * comb(q, k) * z0 ** (q - k)
+        if k == 0:
+            coeffs[0] -= 1
+        a.append(TruncPoly(mp, coeffs, trunc))
+    b = lagrange_invert(a[1:], trunc)
+    minus_a0 = -a[0]
+    w = TruncPoly.zeros(mp, trunc)
+    pw = TruncPoly.one(mp, trunc)
+    for k in range(1, trunc + 1):
+        pw = pw * minus_a0
+        w = w + b[k - 1] * pw
+    recip = (w + z0).inverse()
+    return [recip.coeff(j) for j in range(terms)]
 
 
 # --- two-pole K-series ---

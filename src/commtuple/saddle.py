@@ -32,7 +32,8 @@ its round-off.
 rho_numeric solves the untruncated saddle equation -Phi'(rho) = n by
 Newton's method, each pass one certified fixed-point sum of the pair
 (-Phi', Phi'') from _exp_weight_sum, and serves as the oracle for the
-series route.
+series route.  It stays here, not in oracles.py with the other oracles,
+because the benchmark harness binds it as saddle.rho_numeric.
 """
 
 from __future__ import annotations

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
-from itertools import permutations
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 from .arith import (
@@ -325,57 +324,6 @@ def expand_product(spec: ExponentSpec, n_max: int) -> BigIntSeq:
     return BigIntSeq(_run_kernel(c, n_max), 0, spec.label)
 
 
-def expand_product_direct(spec: ExponentSpec, n_max: int) -> BigIntSeq:
-    """Same coefficients by multiplying the truncated factors directly.
-
-    (1 - q^n)^{-f} = sum_j binom(f+j-1, j) q^{nj}.  Quadratic in n_max
-    with no recurrence; independent route used to pin expand_product.
-    """
-    if not 0 <= n_max <= 500:
-        raise ValueError("n_max must be in 0..500 for the direct route")
-    f = evaluate_exponent(spec, n_max)
-    p = [0] * (n_max + 1)
-    p[0] = 1
-    for n in range(1, n_max + 1):
-        fn = f[n]
-        if fn == 0:
-            continue
-        factor = [0] * (n_max + 1)
-        for j in range(0, n_max // n + 1):
-            factor[n * j] = comb(fn + j - 1, j)
-        new = [0] * (n_max + 1)
-        for i, pi in enumerate(p):
-            if pi:
-                for j in range(0, (n_max - i) // n + 1):
-                    new[i + n * j] += pi * factor[n * j]
-        p = new
-    return BigIntSeq(p, 0, spec.label)
-
-
-def pentagonal_p(n_max: int) -> BigIntSeq:
-    """Partition numbers p(0..n_max) via the pentagonal-number recurrence
-    p(n) = sum_{j>=1} (-1)^{j+1} [p(n - j(3j-1)/2) + p(n - j(3j+1)/2)]."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    p = [0] * (n_max + 1)
-    p[0] = 1
-    for n in range(1, n_max + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if j % 2 == 1 else -1
-            total += sign * p[n - g1]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            j += 1
-        p[n] = total
-    return BigIntSeq(p, 0, "partitions")
-
-
 def ntuple_exponent(ell: int, n_max: int) -> ExponentSpec:
     """Exponent spec whose product generates N_ell(n).
 
@@ -406,39 +354,6 @@ def factorial_scaled(seq: BigIntSeq) -> BigIntSeq:
             f *= n
         out.append(f * v)
     return BigIntSeq(out, seq.offset, seq.label + "-scaled")
-
-
-# --- brute-force oracle over explicit permutations ---
-
-
-def _commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    return all(p[q[i]] == q[p[i]] for i in range(len(p)))
-
-
-def brute_force_commuting(ell: int, n: int) -> int:
-    """|{(pi_1..pi_ell) pairwise commuting}| by nested loops over S_n,
-    each permutation checked against the earlier ones (S_0 holds the
-    empty permutation, so n = 0 counts 1).
-
-    Supported for ell <= 3, n <= 5.
-    """
-    if not 1 <= ell <= 3:
-        raise ValueError("ell must be in 1..3")
-    if not 0 <= n <= 5:
-        raise ValueError("n must be in 0..5")
-    perms = list(permutations(range(n)))
-    if ell == 1:
-        return len(perms)
-    if ell == 2:
-        return sum(1 for p in perms for q in perms if _commutes(p, q))
-    return sum(
-        1
-        for p in perms
-        for q in perms
-        if _commutes(p, q)
-        for r in perms
-        if _commutes(p, r) and _commutes(q, r)
-    )
 
 
 # --- serialization ---

@@ -12,21 +12,17 @@ import mpmath
 
 from commtuple import (
     bessenrodt_ono_scan,
-    brute_force_commuting,
     compare_exact_asym,
     curve_saddle_series,
     dressed_residue,
     expand_product,
-    expand_product_direct,
     expansion,
     factorial_scaled,
-    hnf_subgroup_count,
     lf_data_ntuple,
     log_concavity_scan,
     log_convexity_scan,
     ntuple_exponent,
     ntuple_sequence,
-    pentagonal_p,
     rho_numeric,
     saddle_series,
     subgroup_count_table,
@@ -34,7 +30,13 @@ from commtuple import (
 )
 from commtuple.arith import PolygonalIndicator, Power, TableExponent
 from commtuple.cli import main as cli_main
-from commtuple.oracles import two_pole_K
+from commtuple.oracles import (
+    brute_force_commuting,
+    expand_product_direct,
+    hnf_subgroup_count,
+    pentagonal_p,
+    two_pole_K,
+)
 
 
 def test_criterion_01_arithmetic_ground_truth():

@@ -13,11 +13,10 @@ from commtuple import (
     SubgroupCount,
     TableExponent,
     evaluate_exponent,
-    hnf_subgroup_count,
     is_polygonal,
     subgroup_count_table,
 )
-from commtuple.oracles import dirichlet_convolve
+from commtuple.oracles import dirichlet_convolve, hnf_subgroup_count
 
 
 def naive_sigma(m, n):

@@ -24,8 +24,7 @@ from commtuple import (
     lf_data_power,
     saddle_series,
 )
-from commtuple.oracles import recip_power_coeff
-from test_saddle import curve_saddle_series_lagrange
+from commtuple.oracles import curve_saddle_series_lagrange, recip_power_coeff
 
 TOL = "1e-44"
 

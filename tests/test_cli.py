@@ -367,11 +367,16 @@ def test_analytic_commands_refuse_ell_below_two(capsys):
      "--family table-file does not take --k"),
     ("oracle direct --ell 2 --k 4 --max-n 3", "--family ntuple does not take --k"),
     ("seq --family power --max-n 3", "--family power requires --d"),
+    ("oracle pentagonal --max-n 3 --n 7", "oracle pentagonal does not take --n"),
+    ("oracle direct --ell 2 --max-n 3 --n 9", "oracle direct does not take --n"),
+    ("oracle hnf --ell 2 --n 4 --max-n 9", "oracle hnf does not take --max-n"),
+    ("oracle commuting --ell 2 --n 3 --max-n 1",
+     "oracle commuting does not take --max-n"),
 ], ids=["pentagonal-max-n", "direct-max-n", "constants-digits", "compare-digits",
         "seq-ell", "logconcave-ell", "seq-d", "seq-k", "constants-d", "compare-d",
         "hnf-ell", "hnf-n", "commuting-ell", "commuting-n", "direct-max-n-500",
         "ntuple-d", "power-ell", "polygonal-table", "table-file-k", "direct-k",
-        "power-no-d"])
+        "power-no-d", "pentagonal-n", "direct-n", "hnf-max-n", "commuting-max-n"])
 def test_refusals_name_the_flag(capsys, command, error):
     rc, out, err = run(capsys, *command.split())
     assert (rc, out) == (1, "")

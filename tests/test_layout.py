@@ -1,5 +1,6 @@
-"""Package layout: the oracles stay out of the production modules, and
-importing the package loads only the exact layer."""
+"""Package layout: the oracles stay out of the production modules,
+importing the package loads only the exact layer, and every name the
+benchmark harness binds resolves."""
 
 import ast
 import importlib
@@ -28,17 +29,34 @@ def _imported_modules(tree):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
+def _oracle_imports(source):
+    """The innermost function around each import of the oracles module in
+    source, or None for an import that runs when the module loads."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and any(
+                    name.split(".")[-1] == "oracles" for name in _imported_modules(child)):
+                found.append(where)
+            inside = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inside else where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def test_no_production_module_imports_oracles():
     modules = sorted(PACKAGE.glob("*.py"))
     assert {p.name for p in modules} >= {"__init__.py", "oracles.py", "cli.py"}
-    offenders = []
-    for path in modules:
-        if path.name in ("__init__.py", "oracles.py"):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if any(name.split(".")[-1] == "oracles" for name in _imported_modules(tree)):
-            offenders.append(path.name)
-    assert offenders == []
+    imports = [(path.name, where) for path in modules if path.name != "oracles.py"
+               for where in _oracle_imports(path.read_text(encoding="utf-8"))]
+    # the oracle subcommand loads the oracles when it runs; nothing else does
+    assert imports == [("cli.py", "_cmd_oracle")]
+    # the check sees a module-level import and one in a nested function
+    sample = ("from . import oracles\nimport os\ndef f():\n    from .oracles import x\n"
+              "    def g():\n        import commtuple.oracles\n")
+    assert _oracle_imports(sample) == [None, "f", "g"]
 
 
 ORACLE_FREE_ROOTS = ("rho_numeric", "_exp_weight_sum")
@@ -188,6 +206,21 @@ def test_import_loads_only_the_exact_layer():
     assert "commtuple.oracles" not in star
 
 
+def test_only_the_oracle_subcommand_loads_oracles():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from commtuple import cli\n"
+        "loaded = []\n"
+        "for argv in (['seq', '--ell', '2', '--max-n', '5'],\n"
+        "             ['oracle', 'pentagonal', '--max-n', '5']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    loaded.append('commtuple.oracles' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert json.loads(_run_fresh(code)) == [False, True]
+
+
 # a union type carries no __module__
 DEFINED_IN = {"ExponentSpec": "commtuple.arith"}
 
@@ -212,11 +245,52 @@ def test_public_names_resolve():
 # __getattr__, so an entry left in _LAZY alone would show here too
 DELETED = ("phi_eval", "phi_deriv_eval", "estimate_B1", "commuting_tuple_count",
            "divisor_power_sum")
+# oracle routes that left the exact layer for commtuple.oracles
+MOVED = ("hnf_subgroup_count", "_ordered_factorizations", "expand_product_direct",
+         "pentagonal_p", "brute_force_commuting", "_commutes")
 
 
 def test_deleted_names_stay_gone():
+    from commtuple import arith, oracles, series
+
     assert [name for name in DELETED if hasattr(commtuple, name)] == []
-    assert len(commtuple.__all__) == 47
+    for module in (commtuple, arith, series):
+        assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
+    assert [name for name in MOVED if not callable(getattr(oracles, name, None))] == []
+    assert len(commtuple.__all__) == 43
+
+
+# What the benchmark harness under perfbench/ binds, module by module.  Its
+# own tests are not collected with these, so a change that drops one of
+# these names fails here rather than in a benchmark run.
+BENCHMARK_BINDINGS = {
+    "commtuple": ("BigIntSeq", "PrecisionContext", "bessenrodt_ono_scan",
+                  "factorial_scaled", "log_concavity_scan", "log_convexity_scan",
+                  "ntuple_exponent", "ntuple_sequence", "rho_numeric", "seq_to_csv",
+                  "seq_to_json"),
+    "commtuple.cli": ("main",),
+    "commtuple.series": ("factorial_scaled", "ntuple_exponent"),
+    "commtuple.saddle": ("rho_numeric",),
+    "commtuple.inequalities": ("log_concavity_scan", "bessenrodt_ono_scan",
+                               "log_convexity_scan"),
+}
+
+
+def test_benchmark_bindings_resolve():
+    from commtuple import inequalities, saddle, series
+
+    missing = [f"{module}.{name}" for module, names in BENCHMARK_BINDINGS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
+    assert commtuple.rho_numeric is saddle.rho_numeric
+    # the scans workload passes jobs= to each library scan
+    seq = commtuple.BigIntSeq((1, 1, 2, 3, 5, 7, 11, 15, 22, 30), 0, "partitions")
+    scans = ((inequalities.log_concavity_scan, (seq, 2, 8)),
+             (inequalities.bessenrodt_ono_scan, (seq, 9)),
+             (inequalities.log_convexity_scan, (series.factorial_scaled(seq), 2, 8)))
+    for scan, args in scans:
+        assert scan(*args, jobs=2) == scan(*args, jobs=1), scan.__name__
 
 
 def _annotated(module):

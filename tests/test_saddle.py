@@ -3,7 +3,7 @@ and the numeric saddle oracle."""
 
 import random
 from fractions import Fraction
-from math import comb, log, perm
+from math import log, perm
 
 import pytest
 from hypothesis import given, settings
@@ -28,42 +28,13 @@ from commtuple import (
 )
 from commtuple import saddle
 from commtuple.oracles import (
+    curve_saddle_series_lagrange,
     lagrange_invert,
     lagrange_saddle_K,
     multinomial,
     two_pole_K,
     weighted_partitions,
 )
-
-
-def curve_saddle_series_lagrange(monomials, terms, ctx):
-    """Oracle for curve_saddle_series: shift z to the leading root z_0,
-    invert the shifted curve w -> sum_k a_k(x) w^k compositionally, and
-    compose the inverse with -a_0(x); the K_j are the coefficients of
-    1/(z_0 + w(x)).  Same truncation, terms + 2 in x."""
-    trunc = terms + 2
-    mp = ctx.mp
-    gamma1, _, qmax = next(m for m in monomials if m[1] == 0)
-    z0 = ctx.power_frac(gamma1, Fraction(-1, qmax))
-    # a_k(x) = [w^k] (curve at z = w + z0); a_0 has no constant term
-    a = []
-    for k in range(qmax + 1):
-        coeffs = [mp.mpf(0)] * (trunc + 1)
-        for gam, p, q in monomials:
-            if k <= q and p <= trunc:
-                coeffs[p] += gam * comb(q, k) * z0 ** (q - k)
-        if k == 0:
-            coeffs[0] -= 1
-        a.append(TruncPoly(mp, coeffs, trunc))
-    b = lagrange_invert(a[1:], trunc)
-    minus_a0 = -a[0]
-    w = TruncPoly.zeros(mp, trunc)
-    pw = TruncPoly.one(mp, trunc)
-    for k in range(1, trunc + 1):
-        pw = pw * minus_a0
-        w = w + b[k - 1] * pw
-    recip = (w + z0).inverse()
-    return [recip.coeff(j) for j in range(terms)]
 
 
 def _reference_tail(spec, z, ctx, mode):

@@ -17,21 +17,23 @@ from commtuple import (
     Power,
     SubgroupCount,
     TableExponent,
-    brute_force_commuting,
     evaluate_exponent,
     expand_product,
-    expand_product_direct,
     factorial_scaled,
     ntuple_exponent,
     ntuple_sequence,
-    pentagonal_p,
     seq_to_csv,
     seq_to_json,
     subgroup_count_table,
     weighted_divisor_table,
 )
 from commtuple import series
-from commtuple.oracles import expand_kernel
+from commtuple.oracles import (
+    brute_force_commuting,
+    expand_kernel,
+    expand_product_direct,
+    pentagonal_p,
+)
 from commtuple.series import _exact_context, _middle_product, _run_kernel
 
 
