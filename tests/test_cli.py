@@ -602,6 +602,8 @@ GOLDEN_COMMANDS = {
     "constants-ell7": "constants --ell 7",
     "constants-ell8": "constants --ell 8",
     "constants-ell12": "constants --ell 12",
+    "constants-ell20-digits200": "constants --ell 20 --digits 200",
+    "constants-ell63-json": "constants --ell 63 --format json",
     "constants-power0": "constants --family power --d 0",
     "constants-power1-json": "constants --family power --d 1 --format json",
     "constants-power2-digits120": "constants --family power --d 2 --digits 120",
@@ -610,6 +612,7 @@ GOLDEN_COMMANDS = {
     "compare-ell3": "compare --ell 3 --points 50,200,1000",
     "compare-ell3-terms1": "compare --ell 3 --terms 1 --points 50,200,1000",
     "compare-ell8": "compare --ell 8 --points 100,1000",
+    "compare-ell6-digits100": "compare --ell 6 --digits 100 --points 100,1000",
     "seq-power2": "seq --family power --d 2 --max-n 40",
     "seq-polygonal5-json": "seq --family polygonal --k 5 --max-n 40 --format json",
     "seq-table": "seq --family table-file --table {golden}/weights.csv --max-n 20",
