@@ -69,8 +69,6 @@ _LAZY = {
     "zeta_prime_int": "precision",
     "zeta_prime_neg": "precision",
     "SaddleExpansion": "saddle",
-    "TruncPoly": "saddle",
-    "curve_saddle_series": "saddle",
     "rho_numeric": "saddle",
     "saddle_series": "saddle",
 }

@@ -18,8 +18,10 @@ for every k with lambda_k >= 0, and the prefactor is
     C = e^{L'(0)} c_1^{(1/2 - L(0))/(alpha+1)} / sqrt(2 pi (alpha+1)).
 
 One pole gives the single term A_1 = (1 + 1/alpha) c_1^{1/(alpha+1)}.
-The powers of D are truncated-series products; oracles.py assembles the
-same A_k by multinomial enumeration over weighted multi-indices.
+The powers of D come from saddle.series_power, the recurrence that also
+gives the K_j: [x^m] D^nu = K_1^{-nu} [x^m] (R/K_1)^{-nu}.  oracles.py
+assembles the same A_k by multinomial enumeration over weighted
+multi-indices.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Any
 
 from .lfunction import LSeriesData
 from .precision import PrecisionContext
-from .saddle import SaddleExpansion, TruncPoly, saddle_series
+from .saddle import SaddleExpansion, saddle_series, series_power
 from .series import BigIntSeq
 
 
@@ -60,14 +62,19 @@ def expansion(data: LSeriesData, ctx: PrecisionContext) -> AsymptoticExpansion:
     saddle = saddle_series(data, ctx)
     J = saddle.expansion_terms
     K, ell, mp = saddle.K, saddle.ell, ctx.mp
-    d = TruncPoly(mp, K, J - 1).inverse()
-    powers = [(c, p, q - 1, d ** (q - 1)) for c, p, q in saddle.curve]
+    r = [k / K[0] for k in K[:J]]  # R/K_1
+    powers = []
+    for c, p, q in saddle.curve:
+        nu = q - 1  # D^nu = K_1^{-nu} (R/K_1)^{-nu}
+        scale = K[0] ** -nu
+        d_nu = [scale * g for g in series_power(r, Fraction(-nu), J, ctx)]
+        powers.append((c, p, nu, d_nu))
     a_terms = []
     for k in range(1, J + 1):
         acc = K[k - 1]
         for c, p, nu, d_nu in powers:
             if k - 1 - p >= 0:
-                acc = acc + c * d_nu.coeff(k - 1 - p) / nu
+                acc = acc + c * d_nu[k - 1 - p] / nu
         a_terms.append((acc, Fraction(ell - 1 - (k - 1) * saddle.step, ell)))
     alpha, l_zero = data.alpha, data.l_at_zero
     b = (1 - l_zero + alpha / 2) / (alpha + 1)

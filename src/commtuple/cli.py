@@ -134,8 +134,11 @@ def _analytic_data(args: argparse.Namespace):
     if args.digits < 50:
         raise ValueError("--digits must be >= 50")
     ctx = PrecisionContext(args.digits)
-    if args.family == "ntuple" and args.ell is not None and args.ell < 2:
-        raise ValueError(f"{args.subcommand} requires --ell >= 2")
+    if args.family == "ntuple" and args.ell is not None:
+        if args.ell < 2:
+            raise ValueError(f"{args.subcommand} requires --ell >= 2")
+        if args.ell > 63:  # past the lengths the tests and goldens pin
+            raise ValueError(f"{args.subcommand} requires --ell <= 63")
     spec = _exponent_spec(args, 1)
     if args.family == "power" and args.d > 4:
         raise ValueError(f"{args.subcommand} requires --d <= 4")

@@ -11,15 +11,19 @@ subgroup counts; expand_kernel solves the product-expansion recurrence
 row by row, expand_product_direct multiplies the truncated factors and
 pentagonal_p runs the pentagonal-number recurrence;
 brute_force_commuting counts commuting tuples of explicit permutations;
-bernoulli_recurrence builds B_0..B_m from the binomial recurrence;
-two_pole_K gives closed forms of K_1..K_5 for two poles; lagrange_invert
-inverts series compositionally, behind curve_saddle_series_lagrange,
-the oracle for curve_saddle_series, and lagrange_saddle_K reads the K_j
-of a saddle curve off the Lagrange-Burmann formula; recip_power_coeff
+bernoulli_recurrence builds B_0..B_m from the binomial recurrence.
+
+The K_j that saddle.saddle_series reads off the Lagrange-Burmann
+formula have three checks here: curve_saddle_series solves the saddle
+curve for z(x) by Newton's iteration in TruncPoly arithmetic (dense
+truncated polynomials), curve_saddle_series_lagrange inverts the
+shifted curve compositionally with lagrange_invert, and two_pole_K
+gives closed forms of K_1..K_5 for two poles.  recip_power_coeff
 enumerates weighted multi-indices to assemble the A_k without series
-arithmetic; and zeta_em, zeta_prime_em and euler_gamma_em sum
+arithmetic, and zeta_em, zeta_prime_em and euler_gamma_em sum
 Euler-Maclaurin series for the values that precision.py takes from
-mpmath.
+mpmath.  Nothing here imports the saddle module, so no oracle runs on
+the code it checks.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from math import comb, factorial, perm
 
 from .arith import ExponentSpec, evaluate_exponent
 from .precision import PrecisionContext, bernoulli_fraction
-from .saddle import TruncPoly
 from .series import BigIntSeq
 
 # --- weight tables ---
@@ -362,6 +365,100 @@ def _binom_frac(top: Fraction, m: int) -> Fraction:
     return out / factorial(m)
 
 
+# --- dense truncated polynomials over a context's mpf ---
+
+
+class TruncPoly:
+    """Polynomial in x truncated at a fixed order, mpf coefficients."""
+
+    __slots__ = ("mp", "coeffs", "order")
+
+    def __init__(self, mp, coeffs, order: int):
+        self.mp = mp
+        self.order = order
+        c = list(coeffs[: order + 1])
+        zero = mp.mpf(0)
+        while len(c) < order + 1:
+            c.append(zero)
+        self.coeffs = c
+
+    @classmethod
+    def zeros(cls, mp, order: int) -> "TruncPoly":
+        return cls(mp, [], order)
+
+    @classmethod
+    def one(cls, mp, order: int) -> "TruncPoly":
+        return cls(mp, [mp.mpf(1)], order)
+
+    def coeff(self, i: int):
+        return self.coeffs[i] if i <= self.order else self.mp.mpf(0)
+
+    def _coerce(self, other):
+        if isinstance(other, TruncPoly):
+            return other
+        c = [self.mp.mpf(0)] * (self.order + 1)
+        c[0] = self.mp.mpf(1) * other
+        return TruncPoly(self.mp, c, self.order)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return TruncPoly(
+            self.mp, [a + b for a, b in zip(self.coeffs, o.coeffs)], self.order
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TruncPoly(self.mp, [-a for a in self.coeffs], self.order)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        if not isinstance(other, TruncPoly):
+            return TruncPoly(self.mp, [a * other for a in self.coeffs], self.order)
+        out = [self.mp.mpf(0)] * (self.order + 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                top = self.order - i
+                for j, b in enumerate(other.coeffs[: top + 1]):
+                    if b:
+                        out[i + j] += a * b
+        return TruncPoly(self.mp, out, self.order)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative powers go through inverse()")
+        out = TruncPoly.one(self.mp, self.order)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def inverse(self) -> "TruncPoly":
+        """Series reciprocal; requires an invertible constant term."""
+        c0 = self.coeffs[0]
+        if c0 == 0:
+            raise ZeroDivisionError("constant term vanishes")
+        inv = [self.mp.mpf(0)] * (self.order + 1)
+        inv[0] = 1 / c0
+        for n in range(1, self.order + 1):
+            s = self.mp.mpf(0)
+            for k in range(1, n + 1):
+                if self.coeffs[k]:
+                    s += self.coeffs[k] * inv[n - k]
+            inv[n] = -s / c0
+        return TruncPoly(self.mp, inv, self.order)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"TruncPoly({self.coeffs})"
+
+
 # --- series-of-series helpers (z-series with ring coefficients) ---
 
 
@@ -474,6 +571,53 @@ def _lagrange_formula(a, terms: int):
     return out
 
 
+# --- K-series of a saddle curve by Newton's iteration ---
+
+
+def curve_saddle_series(monomials, terms: int, ctx: PrecisionContext):
+    """K-coefficients for the curve sum_i gamma_i x^{p_i} z^{q_i} = 1.
+
+    Exactly one monomial must have p_i = 0; it carries the largest
+    z-power and a positive coefficient.  z(x) is found by Newton's
+    iteration in truncated-series arithmetic, at orders 2, 4, 8, ... in
+    x up to terms + 2; the K_j are the coefficients of 1/z(x).
+    """
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    if terms > 64:
+        raise ValueError("terms beyond the supported truncation")
+    trunc = terms + 2
+    mp = ctx.mp
+    lead = [m for m in monomials if m[1] == 0]
+    if len(lead) != 1:
+        raise ValueError("exactly one x-free monomial required")
+    gamma1, _, qmax = lead[0]
+    if gamma1 <= 0:
+        raise ValueError("leading coefficient must be positive")
+    if any(q > qmax or q < 1 or p < 0 for _, p, q in monomials):
+        raise ValueError("monomial powers out of range")
+    zero = mp.mpf(0)
+    z = TruncPoly(mp, [ctx.power_frac(gamma1, Fraction(-1, qmax))], 0)
+    # each Newton step doubles the number of correct x-coefficients,
+    # starting from one, so the steps run at orders 2, 4, 8, ... up to
+    # trunc; one more step at trunc polishes the rounding
+    orders = [1 << k for k in range(1, (trunc - 1).bit_length())] + [trunc, trunc]
+    for order in orders:
+        z = TruncPoly(mp, z.coeffs, order)
+        powers = [TruncPoly.one(mp, order)]
+        for _ in range(qmax):
+            powers.append(powers[-1] * z)
+        f = TruncPoly.zeros(mp, order) - 1
+        f_z = TruncPoly.zeros(mp, order)
+        for gam, p, q in monomials:
+            shift = [zero] * p  # times x^p
+            f = f + TruncPoly(mp, shift + powers[q].coeffs, order) * gam
+            f_z = f_z + TruncPoly(mp, shift + powers[q - 1].coeffs, order) * (gam * q)
+        z = z - f * f_z.inverse()
+    recip = z.inverse()
+    return [recip.coeff(j) for j in range(terms)]
+
+
 # --- K-series of a saddle curve by compositional inversion ---
 
 
@@ -546,40 +690,6 @@ def two_pole_K(alpha, beta, c1, c2, terms: int, ctx: PrecisionContext):
     )
     ks.append(c2**4 * rat(p5 / (24 * a1**4)) / cpow((4 * be + 3) / a1))
     return ks[:terms]
-
-
-# --- K-series of a saddle curve by the Lagrange-Burmann formula ---
-
-
-def lagrange_saddle_K(curve, step: int, terms: int, ctx: PrecisionContext):
-    """K_1..K_terms of a saddle curve (the curve and step of a
-    saddle.SaddleExpansion) without solving for z.
-
-    With t = n^{-1/(alpha+1)} the saddle equation reads v = t Q(v)^{1/(alpha+1)}
-    for v = rho and the polynomial Q(v) = sum_i c_i v^{p_i step}, so by
-    Lagrange inversion [t^k] v = (1/k) [v^{k-1}] Q(v)^{k/(alpha+1)}, and
-    K_j is the coefficient at k = 1 + (j-1) step.  The power of Q comes
-    from J. C. P. Miller's recurrence for a power of a series.
-    """
-    c1, _, ell = curve[0]
-    mp = ctx.mp
-    out = []
-    for j in range(terms):
-        k = 1 + j * step
-        f = [mp.mpf(0)] * k  # Q(v)/c_1, cut after v^{k-1}
-        for c, p, _ in curve:
-            if p * step < k:
-                f[p * step] += c / c1
-        e = Fraction(k, ell)
-        pw = [mp.mpf(1)]
-        for n in range(1, k):
-            acc = mp.mpf(0)
-            for i in range(1, n + 1):
-                if f[i]:
-                    acc += ctx.real((e + 1) * i - n) * f[i] * pw[n - i]
-            pw.append(acc / n)
-        out.append(ctx.power_frac(c1, e) * pw[k - 1] / k)
-    return out
 
 
 # --- coefficients of powers of the K-series by enumeration ---

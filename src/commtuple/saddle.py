@@ -1,33 +1,27 @@
-"""Truncated-series saddle-point machinery.
+"""The saddle-point series of a family with integer poles, and the
+numeric saddle-point oracle.
 
 Integer poles alpha = nu_1 > nu_2 > ... >= 1 of a family's Dirichlet
 series, with dressed residues c_i, give the saddle equation
-sum_i c_i rho^{-nu_i - 1} = n.  With rho = n^{-1/(alpha+1)} / z and
-x = n^{-s/(alpha+1)}, s = gcd(alpha - nu_i), it is the polynomial curve
-
-    F(x, z) = sum_i c_i x^{p_i} z^{nu_i + 1} - 1 = 0,  p_i = (alpha - nu_i)/s,
-
-which saddle_series builds.  curve_saddle_series solves any such curve
-by Newton's iteration z <- z - F/F_z on power series in x, started at
-the leading root z_0 = c_1^{-1/(alpha+1)}, which doubles the number of
-correct coefficients per step; the coefficients of 1/z(x) are the K_j of
-
-    rho_n = K_1 n^{-1/(alpha+1)} + K_2 n^{-(1+s)/(alpha+1)} + ...
-
-All coefficient arithmetic is dense polynomial-in-x, truncated at
-orders 2, 4, 8, ... for the Newton steps, as the number of correct
-coefficients grows, up to J + 2 for J requested terms, where one last
-step polishes the rounding.  oracles.py holds the Lagrange-inversion
-routes that check it.
-
-With t = n^{-1/(alpha+1)} the saddle equation reads
+sum_i c_i rho^{-nu_i - 1} = n.  With t = n^{-1/(alpha+1)} it reads
 rho = t Q(rho)^{1/(alpha+1)}, Q(v) = sum_i c_i v^{alpha - nu_i}, so by
-Lagrange inversion [t^k] rho = (1/k) [v^{k-1}] Q(v)^{k/(alpha+1)}.  When
-alpha + 1 divides k that power of Q is a polynomial of degree
+Lagrange-Burmann inversion [t^k] rho = (1/k) [v^{k-1}] Q(v)^{k/(alpha+1)}.
+Only k = 1 + (j-1) s occur, s = gcd(alpha - nu_i), and Q/c_1 is a
+polynomial in w = v^s with constant term 1, so
+
+    rho_n = sum_j K_j n^{-k/(alpha+1)},
+    K_j = c_1^{k/(alpha+1)} [w^{j-1}] (Q/c_1)^{k/(alpha+1)} / k.
+
+series_power forms that power by J. C. P. Miller's recurrence, and
+asymptotics.py takes the powers of 1/R(x) from it too.  When alpha + 1
+divides k the power of Q is a polynomial of degree
 (k/(alpha+1)) (alpha - nu_min) < k - 1 (as nu_min >= 1), so the
-coefficient is 0.  saddle_series sets every K_j whose exponent
-(1 + (j-1) s)/(alpha+1) is an integer to an exact 0 rather than keep
-its round-off.
+coefficient is 0; saddle_series sets every K_j whose exponent
+k/(alpha+1) is an integer to an exact 0 rather than keep its round-off.
+It also keeps the monomials of the saddle curve
+sum_i c_i x^{p_i} z^{nu_i + 1} = 1, p_i = (alpha - nu_i)/s, the same
+equation in x = n^{-s/(alpha+1)} and z = t/rho, which the expansion
+reads and oracles.curve_saddle_series solves by Newton's iteration.
 
 rho_numeric solves the untruncated saddle equation -Phi'(rho) = n by
 Newton's method, each pass one certified fixed-point sum of the pair
@@ -46,101 +40,31 @@ from .arith import ExponentSpec, evaluate_exponent
 from .lfunction import dressed_residue
 from .precision import PrecisionContext
 
-# --- dense truncated polynomials over a context's mpf ---
-
-
-class TruncPoly:
-    """Polynomial in x truncated at a fixed order, mpf coefficients."""
-
-    __slots__ = ("mp", "coeffs", "order")
-
-    def __init__(self, mp, coeffs, order: int):
-        self.mp = mp
-        self.order = order
-        c = list(coeffs[: order + 1])
-        zero = mp.mpf(0)
-        while len(c) < order + 1:
-            c.append(zero)
-        self.coeffs = c
-
-    @classmethod
-    def zeros(cls, mp, order: int) -> "TruncPoly":
-        return cls(mp, [], order)
-
-    @classmethod
-    def one(cls, mp, order: int) -> "TruncPoly":
-        return cls(mp, [mp.mpf(1)], order)
-
-    def coeff(self, i: int):
-        return self.coeffs[i] if i <= self.order else self.mp.mpf(0)
-
-    def _coerce(self, other):
-        if isinstance(other, TruncPoly):
-            return other
-        c = [self.mp.mpf(0)] * (self.order + 1)
-        c[0] = self.mp.mpf(1) * other
-        return TruncPoly(self.mp, c, self.order)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return TruncPoly(
-            self.mp, [a + b for a, b in zip(self.coeffs, o.coeffs)], self.order
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncPoly(self.mp, [-a for a in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncPoly):
-            return TruncPoly(self.mp, [a * other for a in self.coeffs], self.order)
-        out = [self.mp.mpf(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                top = self.order - i
-                for j, b in enumerate(other.coeffs[: top + 1]):
-                    if b:
-                        out[i + j] += a * b
-        return TruncPoly(self.mp, out, self.order)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers go through inverse()")
-        out = TruncPoly.one(self.mp, self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def inverse(self) -> "TruncPoly":
-        """Series reciprocal; requires an invertible constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("constant term vanishes")
-        inv = [self.mp.mpf(0)] * (self.order + 1)
-        inv[0] = 1 / c0
-        for n in range(1, self.order + 1):
-            s = self.mp.mpf(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    s += self.coeffs[k] * inv[n - k]
-            inv[n] = -s / c0
-        return TruncPoly(self.mp, inv, self.order)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"TruncPoly({self.coeffs})"
-
-
 # --- saddle curve -> K-series ---
+
+
+def series_power(f, e: Fraction, n: int, ctx: PrecisionContext) -> list:
+    """The first n coefficients of f(x)^e, for a series f with f_0 = 1
+    (a list of coefficients, those past its end read as 0) and a
+    rational e, by J. C. P. Miller's recurrence
+
+        g_0 = 1,  g_m = (1/m) sum_{i=1..m} ((e+1) i - m) f_i g_{m-i}.
+
+    Zero f_i are skipped, so each g_m of a sparse f costs one term per
+    nonzero f_i.
+    """
+    mp = ctx.mp
+    a, b = e.numerator, e.denominator  # (e+1) i - m = ((a+b) i - m b)/b
+    nonzero = [(i, fi) for i, fi in enumerate(f[1:n], start=1) if fi]
+    g = [mp.mpf(1)]
+    for m in range(1, n):
+        acc = mp.mpf(0)
+        for i, fi in nonzero:
+            if i > m:
+                break
+            acc += ((a + b) * i - m * b) * fi * g[m - i]
+        g.append(acc / (m * b))
+    return g
 
 
 @dataclass(frozen=True)
@@ -164,50 +88,6 @@ class SaddleExpansion:
         return (self.ell - 1) // self.step + 1
 
 
-def curve_saddle_series(monomials, terms: int, ctx: PrecisionContext):
-    """K-coefficients for the curve sum_i gamma_i x^{p_i} z^{q_i} = 1.
-
-    Exactly one monomial must have p_i = 0; it carries the largest
-    z-power and a positive coefficient.  z(x) is found by Newton's
-    iteration in truncated-series arithmetic, at orders 2, 4, 8, ... in
-    x up to terms + 2; the K_j are the coefficients of 1/z(x).
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    if terms > 64:
-        raise ValueError("terms beyond the supported truncation")
-    trunc = terms + 2
-    mp = ctx.mp
-    lead = [m for m in monomials if m[1] == 0]
-    if len(lead) != 1:
-        raise ValueError("exactly one x-free monomial required")
-    gamma1, _, qmax = lead[0]
-    if gamma1 <= 0:
-        raise ValueError("leading coefficient must be positive")
-    if any(q > qmax or q < 1 or p < 0 for _, p, q in monomials):
-        raise ValueError("monomial powers out of range")
-    zero = mp.mpf(0)
-    z = TruncPoly(mp, [ctx.power_frac(gamma1, Fraction(-1, qmax))], 0)
-    # each Newton step doubles the number of correct x-coefficients,
-    # starting from one, so the steps run at orders 2, 4, 8, ... up to
-    # trunc; one more step at trunc polishes the rounding
-    orders = [1 << k for k in range(1, (trunc - 1).bit_length())] + [trunc, trunc]
-    for order in orders:
-        z = TruncPoly(mp, z.coeffs, order)
-        powers = [TruncPoly.one(mp, order)]
-        for _ in range(qmax):
-            powers.append(powers[-1] * z)
-        f = TruncPoly.zeros(mp, order) - 1
-        f_z = TruncPoly.zeros(mp, order)
-        for gam, p, q in monomials:
-            shift = [zero] * p  # times x^p
-            f = f + TruncPoly(mp, shift + powers[q].coeffs, order) * gam
-            f_z = f_z + TruncPoly(mp, shift + powers[q - 1].coeffs, order) * (gam * q)
-        z = z - f * f_z.inverse()
-    recip = z.inverse()
-    return [recip.coeff(j) for j in range(terms)]
-
-
 def saddle_series(data, ctx: PrecisionContext) -> SaddleExpansion:
     """The saddle curve of pole data (see the module docstring) and its
     first J + 1 terms K_j, J the number of expansion exponents.  One pole
@@ -219,11 +99,21 @@ def saddle_series(data, ctx: PrecisionContext) -> SaddleExpansion:
     alpha = nus[0]
     step = gcd(*(alpha - nu for nu in nus)) or alpha + 1
     curve = tuple((c, (alpha - nu) // step, nu + 1) for c, nu in zip(cs, nus))
-    K = curve_saddle_series(curve, alpha // step + 2, ctx)
-    # K_j with an integral exponent (1 + (j-1) s)/(alpha+1) is exactly 0
-    # (see the module docstring)
+    terms = alpha // step + 2
     zero = ctx.mp.mpf(0)
-    K = [zero if (1 + j * step) % (alpha + 1) == 0 else k for j, k in enumerate(K)]
+    f = [zero] * terms  # Q/c_1 in w, cut after w^{terms-1}
+    for c, p, _ in curve[1:]:
+        if p < terms:
+            f[p] = c / cs[0]
+    K = []
+    for j in range(1, terms + 1):
+        k = 1 + (j - 1) * step
+        if k % (alpha + 1) == 0:
+            # an integral exponent: exactly 0 (see the module docstring)
+            K.append(zero)
+            continue
+        e = Fraction(k, alpha + 1)
+        K.append(ctx.power_frac(cs[0], e) * series_power(f, e, j, ctx)[j - 1] / k)
     return SaddleExpansion(curve, step, tuple(K))
 
 

@@ -13,7 +13,6 @@ import mpmath
 from commtuple import (
     bessenrodt_ono_scan,
     compare_exact_asym,
-    curve_saddle_series,
     dressed_residue,
     expand_product,
     expansion,
@@ -32,6 +31,7 @@ from commtuple.arith import PolygonalIndicator, Power, TableExponent
 from commtuple.cli import main as cli_main
 from commtuple.oracles import (
     brute_force_commuting,
+    curve_saddle_series,
     expand_product_direct,
     hnf_subgroup_count,
     pentagonal_p,
@@ -202,11 +202,15 @@ def test_criterion_07_k_coefficient_cross_check(ctx50):
     c2 = dressed_residue(data.poles[1], ctx50)
     closed = two_pole_K(2, 1, c1, c2, 5, ctx50)
     generic = curve_saddle_series([(c1, 0, 3), (c2, 1, 2)], 5, ctx50)
+    production = saddle_series(data, ctx50).K
+    assert len(production) == 4
     for j, (x, y) in enumerate(zip(closed, generic), start=1):
         assert abs(x - y) < mp.mpf("1e-30"), j
+    for j, (x, y) in enumerate(zip(closed, production), start=1):
+        assert abs(x - y) < mp.mpf("1e-30"), j
     print("criterion 07 K-coefficient cross-check: PASS "
-          "(generic inversion equals closed forms K_1..K_5 at (2,1) "
-          "with rank-3 pole data, to 1e-30)")
+          "(generic inversion K_1..K_5 and the production series K_1..K_4 "
+          "equal the closed forms at (2,1) with rank-3 pole data, to 1e-30)")
 
 
 def test_criterion_08_saddle_consistency(ctx50):

@@ -15,7 +15,6 @@ from commtuple import (
     BigIntSeq,
     LSeriesData,
     PrecisionContext,
-    TruncPoly,
     compare_exact_asym,
     dressed_residue,
     evaluate_expansion,
@@ -24,7 +23,7 @@ from commtuple import (
     lf_data_power,
     saddle_series,
 )
-from commtuple.oracles import curve_saddle_series_lagrange, recip_power_coeff
+from commtuple.oracles import TruncPoly, curve_saddle_series_lagrange, recip_power_coeff
 
 TOL = "1e-44"
 

@@ -97,29 +97,30 @@ def test_constants_json(capsys):
 
 
 def test_constants_computes_saddle_series_once(capsys, monkeypatch):
-    from commtuple import PrecisionContext, lf_data_ntuple, saddle
+    from commtuple import PrecisionContext, asymptotics, lf_data_ntuple
+    from commtuple.oracles import curve_saddle_series
 
     ctx = PrecisionContext(50)
-    curve = saddle.saddle_series(lf_data_ntuple(5, ctx), ctx).curve
-    alone = saddle.curve_saddle_series(curve, 5, ctx)
+    curve = asymptotics.saddle_series(lf_data_ntuple(5, ctx), ctx).curve
+    alone = curve_saddle_series(curve, 5, ctx)
     calls = []
-    real = saddle.curve_saddle_series
+    real = asymptotics.saddle_series
 
-    def counted(monomials, terms, ctx):
-        calls.append(terms)
-        return real(monomials, terms, ctx)
+    def counted(data, ctx):
+        calls.append(data.family)
+        return real(data, ctx)
 
-    monkeypatch.setattr(saddle, "curve_saddle_series", counted)
+    monkeypatch.setattr(asymptotics, "saddle_series", counted)
     for extra, n_k in (((), 5), (("--terms", "3"), 3), (("--terms", "5"), 5)):
         calls.clear()
         rc, out, _ = run(capsys, "constants", "--family", "ntuple", "--ell", "5",
                          *extra)
         assert rc == 0
-        # one K-series, with the ell + 1 terms the expansion needs
-        assert calls == [6]
+        # one K-series, whatever --terms cuts the expansion to
+        assert calls == ["ntuple-5"]
         k_lines = [l for l in out.splitlines() if l.startswith("K[")]
         assert len(k_lines) == n_k
-        # K_5 vanishes identically; the others print as a 5-term series does
+        # K_5 vanishes identically; the others print as the Newton oracle's do
         for j, line in enumerate(k_lines[:4]):
             assert line == f"K[{j + 1}]: {ctx.to_str(alone[j])}"
 
@@ -353,6 +354,8 @@ def test_analytic_commands_refuse_ell_below_two(capsys):
     ("seq --family polygonal --k 2 --max-n 5", "--k must be >= 3"),
     ("constants --family power --d 5", "constants requires --d <= 4"),
     ("compare --family power --d 7 --points 10", "compare requires --d <= 4"),
+    ("constants --ell 64", "constants requires --ell <= 63"),
+    ("compare --ell 64 --points 10", "compare requires --ell <= 63"),
     ("oracle hnf --ell 9 --n 3", "oracle hnf requires --ell in 1..4"),
     ("oracle hnf --ell 3 --n 65", "oracle hnf requires --n in 1..64"),
     ("oracle commuting --ell 4 --n 2", "oracle commuting requires --ell in 1..3"),
@@ -374,6 +377,7 @@ def test_analytic_commands_refuse_ell_below_two(capsys):
      "oracle commuting does not take --max-n"),
 ], ids=["pentagonal-max-n", "direct-max-n", "constants-digits", "compare-digits",
         "seq-ell", "logconcave-ell", "seq-d", "seq-k", "constants-d", "compare-d",
+        "constants-ell64", "compare-ell64",
         "hnf-ell", "hnf-n", "commuting-ell", "commuting-n", "direct-max-n-500",
         "ntuple-d", "power-ell", "polygonal-table", "table-file-k", "direct-k",
         "power-no-d", "pentagonal-n", "direct-n", "hnf-max-n", "commuting-max-n"])
@@ -630,6 +634,7 @@ GOLDEN_COMMANDS = {
     "oracle-pentagonal": "oracle pentagonal --max-n 30",
     "oracle-hnf": "oracle hnf --ell 3 --n 12",
     "refuse-constants-ell1": "constants --ell 1",
+    "refuse-constants-ell64": "constants --ell 64",
     "refuse-constants-polygonal": "constants --family polygonal --k 3",
     "refuse-logconvex-power": "logconvex --family power --d 1 --max-n 20",
     "refuse-table-too-short":

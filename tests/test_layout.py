@@ -245,19 +245,39 @@ def test_public_names_resolve():
 # __getattr__, so an entry left in _LAZY alone would show here too
 DELETED = ("phi_eval", "phi_deriv_eval", "estimate_B1", "commuting_tuple_count",
            "divisor_power_sum")
-# oracle routes that left the exact layer for commtuple.oracles
+# oracle routes that left the production modules for commtuple.oracles
 MOVED = ("hnf_subgroup_count", "_ordered_factorizations", "expand_product_direct",
-         "pentagonal_p", "brute_force_commuting", "_commutes")
+         "pentagonal_p", "brute_force_commuting", "_commutes", "TruncPoly",
+         "curve_saddle_series")
+# oracles whose formula production now computes itself
+DELETED_ORACLES = ("lagrange_saddle_K",)
 
 
 def test_deleted_names_stay_gone():
-    from commtuple import arith, oracles, series
+    from commtuple import arith, oracles, saddle, series
 
     assert [name for name in DELETED if hasattr(commtuple, name)] == []
-    for module in (commtuple, arith, series):
+    for module in (commtuple, arith, series, saddle):
         assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
     assert [name for name in MOVED if not callable(getattr(oracles, name, None))] == []
-    assert len(commtuple.__all__) == 43
+    assert [name for name in DELETED_ORACLES if hasattr(oracles, name)] == []
+    assert len(commtuple.__all__) == 41
+
+
+def _saddle_imports(source):
+    return [name for name in _imported_modules(ast.parse(source))
+            if "saddle" in name.split(".")]
+
+
+def test_oracles_do_not_import_the_saddle_module():
+    # the Newton and Lagrange routes check saddle_series, so they must not
+    # run on its code
+    assert _saddle_imports((PACKAGE / "oracles.py").read_text(encoding="utf-8")) == []
+    # the check sees a relative, an aliased and an absolute import
+    sample = ("from .saddle import x\nfrom . import saddle as s\n"
+              "import commtuple.saddle\nfrom .series import saddle_free\n")
+    assert _saddle_imports(sample) == [
+        "saddle", "saddle.x", ".saddle", "commtuple.saddle"]
 
 
 # What the benchmark harness under perfbench/ binds, module by module.  Its
