@@ -13,6 +13,10 @@ numeric saddle-point solver for the series coefficients.  The oracles
 live in commtuple.oracles, which this namespace neither exports nor
 loads; only the numeric saddle solver rho_numeric stays in the saddle
 module and in this namespace, where the benchmark harness binds it.
+
+Importing the package loads the exact tables only (arith and series).
+The inequality scans and the analytic layer load on first use of one of
+their names, so a table command pays for neither.
 """
 
 __version__ = "0.1.0"
@@ -29,13 +33,6 @@ from .arith import (
     is_polygonal,
     subgroup_count_table,
 )
-from .inequalities import (
-    ScanReport,
-    bessenrodt_ono_scan,
-    log_concavity_scan,
-    log_convexity_scan,
-    report_to_json,
-)
 from .series import (
     BigIntSeq,
     expand_product,
@@ -47,10 +44,15 @@ from .series import (
     weighted_divisor_table,
 )
 
-# Name -> submodule for the analytic layer.  It loads (and mpmath with it)
-# on first use of one of these names, so the exact commands never pay for
-# its import.
+# Name -> submodule, loaded on first use of one of its names: the scans,
+# which only the scan commands run, and the analytic layer (mpmath with
+# it), so the table commands pay for neither import.
 _LAZY = {
+    "ScanReport": "inequalities",
+    "bessenrodt_ono_scan": "inequalities",
+    "log_concavity_scan": "inequalities",
+    "log_convexity_scan": "inequalities",
+    "report_to_json": "inequalities",
     "AsymptoticExpansion": "asymptotics",
     "ComparisonRow": "asymptotics",
     "compare_exact_asym": "asymptotics",
@@ -78,19 +80,14 @@ __all__ = sorted([
     "ExponentSpec",
     "PolygonalIndicator",
     "Power",
-    "ScanReport",
     "SubgroupCount",
     "TableExponent",
-    "bessenrodt_ono_scan",
     "evaluate_exponent",
     "expand_product",
     "factorial_scaled",
     "is_polygonal",
-    "log_concavity_scan",
-    "log_convexity_scan",
     "ntuple_exponent",
     "ntuple_sequence",
-    "report_to_json",
     "seq_to_csv",
     "seq_to_json",
     "subgroup_count_table",

@@ -12,19 +12,54 @@ tables are 1-indexed Python lists with a zero sentinel stored at index 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 
-@dataclass(frozen=True)
-class SubgroupCount:
+class Record:
+    """An immutable record that compares, hashes, shows, pickles and
+    copies by its fields as a frozen dataclass does.  A subclass lists
+    its fields in __slots__ and sets them in __init__ through
+    object.__setattr__.  Plain classes keep `dataclasses`, and the
+    modules it imports, off the start-up path of every command."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__: the default slot state is restored by
+        # setattr, which the record refuses
+        return type(self), self._fields()
+
+
+class SubgroupCount(Record):
     """f(n) = number of index-n subgroups of Z^rank."""
 
-    rank: int
+    __slots__ = ("rank",)
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, rank: int) -> None:
+        if rank < 1:
             raise ValueError("rank must be a positive integer")
+        object.__setattr__(self, "rank", rank)
 
     def weights(self, n_max: int) -> list[int]:
         return subgroup_count_table(self.rank, n_max) if n_max else [0]
@@ -40,15 +75,15 @@ class SubgroupCount:
         return 2 * (self.rank - 1)
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     """f(n) = n^d."""
 
-    d: int
+    __slots__ = ("d",)
 
-    def __post_init__(self) -> None:
-        if self.d < 0:
+    def __init__(self, d: int) -> None:
+        if d < 0:
             raise ValueError("d must be >= 0")
+        object.__setattr__(self, "d", d)
 
     def weights(self, n_max: int) -> list[int]:
         return [0] + [n**self.d for n in range(1, n_max + 1)]
@@ -62,15 +97,15 @@ class Power:
         return self.d
 
 
-@dataclass(frozen=True)
-class PolygonalIndicator:
+class PolygonalIndicator(Record):
     """f(n) = 1 if n is a k-gonal number, else 0."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self) -> None:
-        if self.k < 3:
+    def __init__(self, k: int) -> None:
+        if k < 3:
             raise ValueError("k must be >= 3")
+        object.__setattr__(self, "k", k)
 
     def weights(self, n_max: int) -> list[int]:
         return [0] + [1 if is_polygonal(self.k, n) else 0 for n in range(1, n_max + 1)]
@@ -82,14 +117,13 @@ class PolygonalIndicator:
     growth = 0
 
 
-@dataclass(frozen=True)
-class TableExponent:
+class TableExponent(Record):
     """f given by an explicit value table (f(1), f(2), ...)."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        vals = tuple(int(v) for v in values)
         if any(v < 0 for v in vals):
             raise ValueError("table values must be >= 0")
         object.__setattr__(self, "values", vals)

@@ -18,7 +18,6 @@ Subcommands
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import stat
@@ -32,12 +31,6 @@ from .arith import (
     Power,
     TableExponent,
     subgroup_count_table,
-)
-from .inequalities import (
-    _factorial_log_convexity_scan,
-    bessenrodt_ono_scan,
-    log_concavity_scan,
-    report_to_json,
 )
 from .series import (
     BigIntSeq,
@@ -147,6 +140,8 @@ def _analytic_data(args: argparse.Namespace):
 
 def _expansion(args: argparse.Namespace, data, ctx):
     """The family's expansion, cut to its first --terms terms."""
+    import dataclasses
+
     from .asymptotics import expansion
 
     exp = expansion(data, ctx)
@@ -266,6 +261,8 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 
 def _scan_output(report, fmt: str) -> str:
     if fmt == "json":
+        from .inequalities import report_to_json
+
         return report_to_json(report) + "\n"
 
     def show(item):
@@ -285,6 +282,8 @@ def _scan_output(report, fmt: str) -> str:
 
 
 def _cmd_logconcave(args: argparse.Namespace) -> str:
+    from .inequalities import log_concavity_scan
+
     if args.min_n < 1:
         raise ValueError("--min-n must be >= 1")
     if args.max_n < args.min_n:
@@ -295,6 +294,8 @@ def _cmd_logconcave(args: argparse.Namespace) -> str:
 
 
 def _cmd_logconvex(args: argparse.Namespace) -> str:
+    from .inequalities import _factorial_log_convexity_scan
+
     if args.family != "ntuple":
         raise ValueError("logconvex scans the factorial-scaled tuple counts; "
                          "use --family ntuple")
@@ -308,6 +309,8 @@ def _cmd_logconvex(args: argparse.Namespace) -> str:
 
 
 def _cmd_bo(args: argparse.Namespace) -> str:
+    from .inequalities import bessenrodt_ono_scan
+
     if args.max_sum < 2:
         raise ValueError("--max-sum must be >= 2")
     seq = _family_sequence(args, args.max_sum)

@@ -21,7 +21,6 @@ the report nor the work depends on it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import sub
@@ -63,6 +62,8 @@ class ScanReport:
 
 
 def report_to_json(report: ScanReport) -> str:
+    import json
+
     obj = {
         "family": report.family,
         "property": report.property,

@@ -26,28 +26,28 @@ included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from math import factorial
 from operator import mul
 
 from .arith import (
     ExponentSpec,
+    Record,
     SubgroupCount,
     TableExponent,
     evaluate_exponent,
 )
 
-@dataclass(frozen=True)
-class BigIntSeq:
+
+class BigIntSeq(Record):
     """Exact integer sequence on offset..offset+len(values)-1."""
 
-    values: tuple[int, ...]
-    offset: int = 0
-    label: str = ""
+    __slots__ = ("values", "offset", "label")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+    def __init__(self, values: tuple[int, ...], offset: int = 0, label: str = "") -> None:
+        object.__setattr__(self, "values", tuple(int(v) for v in values))
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "label", label)
 
     def __len__(self) -> int:
         return len(self.values)

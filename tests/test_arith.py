@@ -1,6 +1,8 @@
 """Weight tables, Dirichlet convolution, subgroup counts and the
 Hermite-form oracle."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -162,11 +164,51 @@ def test_evaluate_exponent_table_too_short():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rank must be a positive integer$"):
         SubgroupCount(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^d must be >= 0$"):
         Power(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be >= 3$"):
         PolygonalIndicator(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^table values must be >= 0$"):
         TableExponent((1, -2, 3))
+
+
+# (class, fields, other fields, repr): the specs behave as frozen
+# dataclasses of these fields would
+SPEC_RECORDS = [
+    (SubgroupCount, (3,), (4,), "SubgroupCount(rank=3)"),
+    (Power, (2,), (1,), "Power(d=2)"),
+    (PolygonalIndicator, (5,), (6,), "PolygonalIndicator(k=5)"),
+    (TableExponent, ((5, 0, 2),), ((5, 0),), "TableExponent(values=(5, 0, 2))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, other, text", SPEC_RECORDS)
+def test_spec_records(cls, fields, other, text):
+    spec = cls(*fields)
+    assert repr(spec) == text
+    assert spec == cls(*fields) and not spec != cls(*fields)
+    assert spec != cls(*other)
+    assert hash(spec) == hash(cls(*fields)) == hash(fields)
+    # equal fields in another class, or in a bare tuple, are not equal
+    assert Power(1) != SubgroupCount(1) and Power(3) != PolygonalIndicator(3)
+    assert SubgroupCount(3) != PolygonalIndicator(3)
+    assert spec != fields
+    name = text[text.index("(") + 1:text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(spec, name, other[0])
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(spec, name)
+    assert getattr(spec, name) == fields[0]
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert type(clone) is cls and clone == spec and hash(clone) == hash(spec)
+
+
+def test_table_exponent_coerces_to_int():
+    spec = TableExponent([5, True, 2.0])
+    assert spec.values == (5, 1, 2)
+    assert [type(v) for v in spec.values] == [int] * 3
+    assert TableExponent(values=(1, 2)) == TableExponent((1, 2))

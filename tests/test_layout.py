@@ -5,7 +5,6 @@ benchmark harness binds resolves."""
 import ast
 import importlib
 import inspect
-import json
 import os
 import subprocess
 import sys
@@ -185,10 +184,15 @@ def _run_fresh(code):
     return res.stdout
 
 
+# what the exact commands never use, so the start-up path must not load it
+STARTUP_FREE = ("dataclasses", "inspect", "json", "commtuple.inequalities")
+
+
 def test_import_loads_only_the_exact_layer():
     code = (
-        "import json, sys\n"
+        "import sys\n"
         "import commtuple, commtuple.cli\n"
+        f"startup = [n for n in {STARTUP_FREE!r} if n in sys.modules]\n"
         f"names = {ANALYTIC_MODULES!r}\n"
         "before = [n for n in names if n in sys.modules]\n"
         "commtuple.PrecisionContext\n"
@@ -196,29 +200,39 @@ def test_import_loads_only_the_exact_layer():
         "from commtuple import *\n"
         "unbound = [n for n in commtuple.__all__ if n not in globals()]\n"
         "star = [n for n in names if n in sys.modules]\n"
-        "print(json.dumps([before, after, unbound, star]))\n"
+        "print(repr([startup, before, after, unbound, star, len(commtuple.__all__)]))\n"
     )
-    before, after, unbound, star = json.loads(_run_fresh(code))
+    startup, before, after, unbound, star, count = ast.literal_eval(_run_fresh(code))
+    assert startup == []
     assert before == []
     assert after == ["mpmath", "commtuple.precision"]
-    assert unbound == []
+    assert unbound == [] and count == 41
     # the oracles belong to the tests: the whole namespace loads without them
     assert "commtuple.oracles" not in star
 
 
 def test_only_the_oracle_subcommand_loads_oracles():
+    # after each command: are the oracles, the scans and json loaded?
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from commtuple import cli\n"
         "loaded = []\n"
         "for argv in (['seq', '--ell', '2', '--max-n', '5'],\n"
+        "             ['logconcave', '--ell', '2', '--max-n', '20', '--format', 'text'],\n"
+        "             ['logconcave', '--ell', '2', '--max-n', '20'],\n"
         "             ['oracle', 'pentagonal', '--max-n', '5']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
-        "    loaded.append('commtuple.oracles' in sys.modules)\n"
-        "print(json.dumps(loaded))\n"
+        "    loaded.append([name in sys.modules for name in\n"
+        "                   ('commtuple.oracles', 'commtuple.inequalities', 'json')])\n"
+        "print(repr(loaded))\n"
     )
-    assert json.loads(_run_fresh(code)) == [False, True]
+    assert ast.literal_eval(_run_fresh(code)) == [
+        [False, False, False],
+        [False, True, False],
+        [False, True, True],
+        [True, True, True],
+    ]
 
 
 # a union type carries no __module__

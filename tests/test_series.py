@@ -1,9 +1,11 @@
 """Product expansions, the pentagonal and brute-force oracles, and the
 sequence container."""
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 import sys
 from decimal import Decimal, localcontext
@@ -407,6 +409,27 @@ def test_bigintseq_indexing():
         seq[1]
     with pytest.raises(IndexError):
         seq[5]
+
+
+def test_bigintseq_record():
+    # BigIntSeq behaves as a frozen dataclass of (values, offset, label)
+    seq = BigIntSeq([1, True, 2.0], 3, "x")
+    assert seq.values == (1, 1, 2) and [type(v) for v in seq.values] == [int] * 3
+    assert repr(BigIntSeq((1, 2), label="x")) == "BigIntSeq(values=(1, 2), offset=0, label='x')"
+    assert seq == BigIntSeq(values=(1, 1, 2), offset=3, label="x")
+    assert hash(seq) == hash(BigIntSeq((1, 1, 2), 3, "x")) == hash(((1, 1, 2), 3, "x"))
+    assert BigIntSeq((1, 2)) == BigIntSeq((1, 2), 0, "")
+    for other in (BigIntSeq((1, 1, 2), 2, "x"), BigIntSeq((1, 1, 2), 3, "y"),
+                  BigIntSeq((1, 1), 3, "x"), TableExponent((1, 1, 2)), ((1, 1, 2), 3, "x")):
+        assert seq != other and not seq == other
+    for name, value in (("values", (9,)), ("offset", 0), ("label", "y"), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(seq, name, value)
+    with pytest.raises(AttributeError):
+        del seq.label
+    assert seq.label == "x"
+    for clone in (pickle.loads(pickle.dumps(seq)), copy.copy(seq), copy.deepcopy(seq)):
+        assert type(clone) is BigIntSeq and clone == seq and hash(clone) == hash(seq)
 
 
 def test_serializers():
