@@ -46,7 +46,8 @@ from .series import (
 
 # Name -> submodule, loaded on first use of one of its names: the scans,
 # which only the scan commands run, and the analytic layer (mpmath with
-# it), so the table commands pay for neither import.
+# its first PrecisionContext), so the table commands pay for neither
+# import.
 _LAZY = {
     "ScanReport": "inequalities",
     "bessenrodt_ono_scan": "inequalities",

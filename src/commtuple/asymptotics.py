@@ -19,9 +19,9 @@ for every k with lambda_k >= 0, and the prefactor is
 
 One pole gives the single term A_1 = (1 + 1/alpha) c_1^{1/(alpha+1)}.
 The powers of D come from saddle.series_power, the recurrence that also
-gives the K_j: [x^m] D^nu = K_1^{-nu} [x^m] (R/K_1)^{-nu}.  oracles.py
-assembles the same A_k by multinomial enumeration over weighted
-multi-indices.
+gives the K_j: [x^m] D^nu = K_1^{-nu} [x^m] (R/K_1)^{-nu}.  The tests
+assemble the same A_k from integer powers of the series reciprocal of
+R in oracles.TruncPoly.
 """
 
 from __future__ import annotations

@@ -14,16 +14,14 @@ brute_force_commuting counts commuting tuples of explicit permutations;
 bernoulli_recurrence builds B_0..B_m from the binomial recurrence.
 
 The K_j that saddle.saddle_series reads off the Lagrange-Burmann
-formula have three checks here: curve_saddle_series solves the saddle
+formula are checked by curve_saddle_series, which solves the saddle
 curve for z(x) by Newton's iteration in TruncPoly arithmetic (dense
-truncated polynomials), curve_saddle_series_lagrange inverts the
-shifted curve compositionally with lagrange_invert, and two_pole_K
-gives closed forms of K_1..K_5 for two poles.  recip_power_coeff
-enumerates weighted multi-indices to assemble the A_k without series
-arithmetic, and zeta_em, zeta_prime_em and euler_gamma_em sum
-Euler-Maclaurin series for the values that precision.py takes from
-mpmath.  Nothing here imports the saddle module, so no oracle runs on
-the code it checks.
+truncated polynomials), and for two poles also by two_pole_K, closed
+forms of K_1..K_5.  The A_k that asymptotics.expansion assembles from
+powers of the K-series are checked against TruncPoly inverse powers.
+zeta_em, zeta_prime_em and euler_gamma_em sum Euler-Maclaurin series
+for the values that precision.py takes from mpmath.  Nothing here
+imports the saddle module, so no oracle runs on the code it checks.
 """
 
 from __future__ import annotations
@@ -321,50 +319,6 @@ def euler_gamma_em(ctx: PrecisionContext):
                    ctx.eps_target())
 
 
-# --- combinatorial helpers ---
-
-
-def _int_partitions(n: int, max_part: int | None = None):
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(n, max_part), 0, -1):
-        for rest in _int_partitions(n - p, p):
-            yield (p,) + rest
-
-
-def weighted_partitions(weight: int):
-    """Yield multiplicity tuples (l_1, ..., l_weight), sum i*l_i = weight."""
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
-    for part in _int_partitions(weight):
-        mult = [0] * weight
-        for p in part:
-            mult[p - 1] += 1
-        yield tuple(mult)
-
-
-def multinomial(total: int, parts) -> int:
-    """total! / prod(parts!) with sum(parts) <= total; the remainder
-    total - sum(parts) is treated as one more part."""
-    rest = total - sum(parts)
-    if rest < 0:
-        raise ValueError("parts exceed total")
-    out = factorial(total) // factorial(rest)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
-def _binom_frac(top: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(m):
-        out *= top - t
-    return out / factorial(m)
-
-
 # --- dense truncated polynomials over a context's mpf ---
 
 
@@ -459,118 +413,6 @@ class TruncPoly:
         return f"TruncPoly({self.coeffs})"
 
 
-# --- series-of-series helpers (z-series with ring coefficients) ---
-
-
-def _ring_inv(x):
-    if isinstance(x, TruncPoly):
-        return x.inverse()
-    return 1 / x
-
-
-def _ser_mul(u, v, top, zero):
-    out = [zero] * (top + 1)
-    for i, a in enumerate(u[: top + 1]):
-        for j in range(0, top + 1 - i):
-            b = v[j]
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _ser_inv(v, top, zero):
-    inv = [zero] * (top + 1)
-    inv0 = _ring_inv(v[0])
-    inv[0] = inv0
-    for n in range(1, top + 1):
-        s = zero
-        for k in range(1, n + 1):
-            s = s + v[k] * inv[n - k]
-        inv[n] = zero - inv0 * s
-    return inv
-
-
-def _ser_compose(f, g, top, zero):
-    """f(g(z)) truncated; f given by coefficients f[0..deg], g[0] == zero."""
-    acc = [zero] * (top + 1)
-    for fk in reversed(f):
-        acc = _ser_mul(acc, g, top, zero)
-        acc[0] = acc[0] + fk
-    return acc
-
-
-def lagrange_invert(a, terms: int, method: str = "newton"):
-    """Compositional inverse of f(w) = a_1 w + a_2 w^2 + ... .
-
-    Input a = [a_1, a_2, ...] over a commutative ring (context reals or
-    TruncPoly); returns [b_1, ..., b_terms] with f(g(z)) = z for
-    g(z) = sum b_k z^k.
-
-    method "newton": order-doubling iteration on truncated series.
-    method "formula": the explicit multi-index sum
-
-        b_k = 1/(k a_1^k) * sum over (l_1, l_2, ...), sum i l_i = k-1,
-              of (-1)^{l_1+l_2+...} [k (k+1) ... (k-1+l_1+l_2+...)]
-              / (l_1! l_2! ...) * (a_2/a_1)^{l_1} (a_3/a_1)^{l_2} ...
-
-    whose combinatorial growth caps it at terms <= 8; it checks the
-    Newton route.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    if not a:
-        raise ValueError("need at least a_1")
-    if method == "newton":
-        return _lagrange_newton(a, terms)
-    if method == "formula":
-        return _lagrange_formula(a, terms)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _lagrange_newton(a, terms: int):
-    zero = a[0] * 0
-    deg = len(a)
-    f = [zero] + list(a)  # f[k] = a_k
-    fp = [(k + 1) * a[k] for k in range(deg)]  # f'(w) coefficients
-    g = [zero, _ring_inv(a[0])] + [zero] * (terms - 1)
-    iters = max(1, terms - 1).bit_length() + 1
-    for _ in range(iters):
-        fg = _ser_compose(f, g, terms, zero)
-        fg[1] = fg[1] - 1  # subtract z
-        fpg = _ser_compose(fp, g, terms, zero)
-        delta = _ser_mul(fg, _ser_inv(fpg, terms, zero), terms, zero)
-        g = [gi - di for gi, di in zip(g, delta)]
-    return g[1 : terms + 1]
-
-
-def _lagrange_formula(a, terms: int):
-    if terms > 8:
-        raise ValueError("formula route capped at 8 terms")
-    zero = a[0] * 0
-    apad = list(a) + [zero] * max(0, terms - len(a))
-    u = _ring_inv(a[0])
-    # u^e cache up to the largest needed exponent
-    max_e = 2 * terms
-    upow = [None] * (max_e + 1)
-    upow[0] = zero + 1
-    for e in range(1, max_e + 1):
-        upow[e] = upow[e - 1] * u
-    out = []
-    for k in range(1, terms + 1):
-        acc = zero
-        for mult in weighted_partitions(k - 1):
-            big_l = sum(mult)
-            coef = Fraction((-1) ** big_l * perm(k + big_l - 1, big_l), k)
-            for li in mult:
-                coef /= factorial(li)
-            term = upow[k + big_l]
-            for i, li in enumerate(mult, start=1):
-                if li:
-                    term = term * (apad[i] ** li)
-            acc = acc + term * coef.numerator / coef.denominator
-        out.append(acc)
-    return out
-
-
 # --- K-series of a saddle curve by Newton's iteration ---
 
 
@@ -618,39 +460,6 @@ def curve_saddle_series(monomials, terms: int, ctx: PrecisionContext):
     return [recip.coeff(j) for j in range(terms)]
 
 
-# --- K-series of a saddle curve by compositional inversion ---
-
-
-def curve_saddle_series_lagrange(monomials, terms, ctx):
-    """Oracle for curve_saddle_series: shift z to the leading root z_0,
-    invert the shifted curve w -> sum_k a_k(x) w^k compositionally, and
-    compose the inverse with -a_0(x); the K_j are the coefficients of
-    1/(z_0 + w(x)).  Same truncation, terms + 2 in x."""
-    trunc = terms + 2
-    mp = ctx.mp
-    gamma1, _, qmax = next(m for m in monomials if m[1] == 0)
-    z0 = ctx.power_frac(gamma1, Fraction(-1, qmax))
-    # a_k(x) = [w^k] (curve at z = w + z0); a_0 has no constant term
-    a = []
-    for k in range(qmax + 1):
-        coeffs = [mp.mpf(0)] * (trunc + 1)
-        for gam, p, q in monomials:
-            if k <= q and p <= trunc:
-                coeffs[p] += gam * comb(q, k) * z0 ** (q - k)
-        if k == 0:
-            coeffs[0] -= 1
-        a.append(TruncPoly(mp, coeffs, trunc))
-    b = lagrange_invert(a[1:], trunc)
-    minus_a0 = -a[0]
-    w = TruncPoly.zeros(mp, trunc)
-    pw = TruncPoly.one(mp, trunc)
-    for k in range(1, trunc + 1):
-        pw = pw * minus_a0
-        w = w + b[k - 1] * pw
-    recip = (w + z0).inverse()
-    return [recip.coeff(j) for j in range(terms)]
-
-
 # --- two-pole K-series ---
 
 
@@ -690,31 +499,3 @@ def two_pole_K(alpha, beta, c1, c2, terms: int, ctx: PrecisionContext):
     )
     ks.append(c2**4 * rat(p5 / (24 * a1**4)) / cpow((4 * be + 3) / a1))
     return ks[:terms]
-
-
-# --- coefficients of powers of the K-series by enumeration ---
-
-
-def recip_power_coeff(K, nu: Fraction, target: int, ctx: PrecisionContext):
-    """[x^target] (K_1 + K_2 x + K_3 x^2 + ...)^{-nu}, K_1 > 0, via
-
-        K_1^{-nu} sum_m binom(-nu, m) sum_{(j): sum t j_t = target,
-        sum j_t = m} multinom(m; j) prod_t (K_{t+1}/K_1)^{j_t}.
-    """
-    if target < 0:
-        return ctx.mp.mpf(0)
-    lead = ctx.power_frac(K[0], -nu)
-    if target == 0:
-        return lead
-    if target >= len(K):
-        raise ValueError("series too short for requested coefficient")
-    inv_k1 = 1 / K[0]
-    acc = ctx.mp.mpf(0)
-    for j in weighted_partitions(target):
-        m = sum(j)
-        term = ctx.real(_binom_frac(-nu, m) * multinomial(m, j))
-        for t, jt in enumerate(j, start=1):
-            if jt:
-                term = term * (K[t] * inv_k1) ** jt
-        acc += term
-    return lead * acc

@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from mpmath.ctx_mp import MPContext
-
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 
@@ -63,6 +61,8 @@ class PrecisionContext:
     guard = 10
 
     def __init__(self, digits: int = 50):
+        from mpmath.ctx_mp import MPContext
+
         if digits < 50:
             raise ValueError("digits must be >= 50")
         self.digits = digits

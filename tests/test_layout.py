@@ -197,22 +197,29 @@ def test_import_loads_only_the_exact_layer():
         "before = [n for n in names if n in sys.modules]\n"
         "commtuple.PrecisionContext\n"
         "after = [n for n in names if n in sys.modules]\n"
+        "commtuple.PrecisionContext(50)\n"
+        "built = [n for n in names if n in sys.modules]\n"
         "from commtuple import *\n"
         "unbound = [n for n in commtuple.__all__ if n not in globals()]\n"
         "star = [n for n in names if n in sys.modules]\n"
-        "print(repr([startup, before, after, unbound, star, len(commtuple.__all__)]))\n"
+        "print(repr([startup, before, after, built, unbound, star,\n"
+        "            len(commtuple.__all__)]))\n"
     )
-    startup, before, after, unbound, star, count = ast.literal_eval(_run_fresh(code))
+    startup, before, after, built, unbound, star, count = ast.literal_eval(
+        _run_fresh(code))
     assert startup == []
     assert before == []
-    assert after == ["mpmath", "commtuple.precision"]
+    # the class loads without mpmath; the first context loads it
+    assert after == ["commtuple.precision"]
+    assert built == ["mpmath", "commtuple.precision"]
     assert unbound == [] and count == 41
     # the oracles belong to the tests: the whole namespace loads without them
     assert "commtuple.oracles" not in star
 
 
 def test_only_the_oracle_subcommand_loads_oracles():
-    # after each command: are the oracles, the scans and json loaded?
+    # after each command: are the oracles, the scans, json and mpmath
+    # loaded?  The exact oracle ops build no PrecisionContext
     code = (
         "import contextlib, io, sys\n"
         "from commtuple import cli\n"
@@ -220,18 +227,25 @@ def test_only_the_oracle_subcommand_loads_oracles():
         "for argv in (['seq', '--ell', '2', '--max-n', '5'],\n"
         "             ['logconcave', '--ell', '2', '--max-n', '20', '--format', 'text'],\n"
         "             ['logconcave', '--ell', '2', '--max-n', '20'],\n"
-        "             ['oracle', 'pentagonal', '--max-n', '5']):\n"
+        "             ['oracle', 'pentagonal', '--max-n', '5'],\n"
+        "             ['oracle', 'direct', '--ell', '2', '--max-n', '5'],\n"
+        "             ['oracle', 'hnf', '--ell', '2', '--n', '4'],\n"
+        "             ['oracle', 'commuting', '--ell', '2', '--n', '3']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
         "    loaded.append([name in sys.modules for name in\n"
-        "                   ('commtuple.oracles', 'commtuple.inequalities', 'json')])\n"
+        "                   ('commtuple.oracles', 'commtuple.inequalities', 'json',\n"
+        "                    'mpmath')])\n"
         "print(repr(loaded))\n"
     )
     assert ast.literal_eval(_run_fresh(code)) == [
-        [False, False, False],
-        [False, True, False],
-        [False, True, True],
-        [True, True, True],
+        [False, False, False, False],
+        [False, True, False, False],
+        [False, True, True, False],
+        [True, True, True, False],
+        [True, True, True, False],
+        [True, True, True, False],
+        [True, True, True, False],
     ]
 
 
@@ -263,8 +277,14 @@ DELETED = ("phi_eval", "phi_deriv_eval", "estimate_B1", "commuting_tuple_count",
 MOVED = ("hnf_subgroup_count", "_ordered_factorizations", "expand_product_direct",
          "pentagonal_p", "brute_force_commuting", "_commutes", "TruncPoly",
          "curve_saddle_series")
-# oracles whose formula production now computes itself
-DELETED_ORACLES = ("lagrange_saddle_K",)
+# oracles whose formula production now computes itself, and second
+# oracles for a quantity that keeps one: the compositional-inversion
+# route to the K_j and the multinomial route to the A_k
+DELETED_ORACLES = ("lagrange_saddle_K", "curve_saddle_series_lagrange",
+                   "lagrange_invert", "_lagrange_newton", "_lagrange_formula",
+                   "_ser_mul", "_ser_inv", "_ser_compose", "_ring_inv",
+                   "recip_power_coeff", "weighted_partitions", "_int_partitions",
+                   "multinomial", "_binom_frac")
 
 
 def test_deleted_names_stay_gone():
@@ -284,8 +304,8 @@ def _saddle_imports(source):
 
 
 def test_oracles_do_not_import_the_saddle_module():
-    # the Newton and Lagrange routes check saddle_series, so they must not
-    # run on its code
+    # the Newton route and the closed two-pole forms check saddle_series,
+    # so they must not run on its code
     assert _saddle_imports((PACKAGE / "oracles.py").read_text(encoding="utf-8")) == []
     # the check sees a relative, an aliased and an absolute import
     sample = ("from .saddle import x\nfrom . import saddle as s\n"

@@ -1,9 +1,9 @@
-"""Lagrange inversion, truncated polynomial arithmetic, the power
-recurrence, saddle series, and the numeric saddle oracle."""
+"""Truncated polynomial arithmetic, the power recurrence, saddle
+series, and the numeric saddle oracle."""
 
 import random
 from fractions import Fraction
-from math import log, perm
+from math import log
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +28,7 @@ from commtuple import saddle
 from commtuple.oracles import (
     TruncPoly,
     curve_saddle_series,
-    curve_saddle_series_lagrange,
-    lagrange_invert,
-    multinomial,
     two_pole_K,
-    weighted_partitions,
 )
 
 
@@ -112,45 +108,6 @@ def tail_cutoff_reference(spec, z, ctx, mode):
     return m
 
 
-def compose(outer, inner, order):
-    """outer(inner(z)) coefficients 1..order; both indexed from 1."""
-    zero = inner[0] * 0
-    acc = [zero] * (order + 1)
-    powers = [zero] * (order + 1)
-    powers[0] = zero + 1
-    cur = [zero] * (order + 1)
-    cur[0] = zero + 1
-    for k, a_k in enumerate(outer, start=1):
-        if k > order:
-            break
-        nxt = [zero] * (order + 1)
-        for i, ci in enumerate(cur):
-            if not ci == zero or i == 0:
-                for j, bj in enumerate(inner, start=1):
-                    if i + j <= order:
-                        nxt[i + j] += ci * bj
-        cur = nxt
-        for idx in range(order + 1):
-            acc[idx] += a_k * cur[idx]
-    return acc[1:]
-
-
-def test_weighted_partitions():
-    parts = list(weighted_partitions(4))
-    assert len(parts) == 5
-    for mult in parts:
-        assert sum((i + 1) * li for i, li in enumerate(mult)) == 4
-    assert len(list(weighted_partitions(8))) == 22
-
-
-def test_multinomial_and_rising():
-    assert multinomial(5, (2, 1)) == 30
-    assert multinomial(3, (3,)) == 1
-    # the rising product k (k+1) ... (k+L-1) the oracles take as perm(k+L-1, L)
-    assert perm(3 + 2 - 1, 2) == 3 * 4
-    assert perm(7 + 0 - 1, 0) == 1
-
-
 def test_truncpoly_algebra(ctx50):
     mp = ctx50.mp
     one_plus = TruncPoly(mp, [1, 1], 4)
@@ -187,57 +144,6 @@ def test_series_power_against_truncpoly(ctx50, e):
         assert abs(got.coeff(i) - want.coeff(i)) < mp.mpf("1e-45"), i
     # a short f is read as cut after its last coefficient
     assert saddle.series_power([mp.mpf(1)], e, 3, ctx50) == [1, 0, 0]
-
-
-def test_lagrange_identity_and_scaling(ctx50):
-    mp = ctx50.mp
-    b = lagrange_invert([mp.mpf(1)], 4)
-    assert [float(x) for x in b] == [1.0, 0.0, 0.0, 0.0]
-    b = lagrange_invert([mp.mpf(2)], 3)
-    assert abs(b[0] - mp.mpf(1) / 2) < mp.mpf("1e-48")
-
-
-def test_lagrange_known_series(ctx50):
-    mp = ctx50.mp
-    # inverse of w + w^2 alternates signed Catalan numbers
-    b = lagrange_invert([mp.mpf(1), mp.mpf(1)], 5)
-    want = [1, -1, 2, -5, 14]
-    for got, w in zip(b, want):
-        assert abs(got - w) < mp.mpf("1e-45")
-    # inverse of w - w^2 gives the plain Catalan numbers
-    b = lagrange_invert([mp.mpf(1), mp.mpf(-1)], 6)
-    for got, w in zip(b, [1, 1, 2, 5, 14, 42]):
-        assert abs(got - w) < mp.mpf("1e-45")
-
-
-def test_lagrange_newton_equals_formula(ctx50):
-    mp = ctx50.mp
-    rng = random.Random(40271)
-    for _ in range(5):
-        a = [mp.mpf(rng.uniform(0.5, 2.0))] + [
-            mp.mpf(rng.uniform(-1, 1)) for _ in range(7)
-        ]
-        newton = lagrange_invert(a, 8, method="newton")
-        formula = lagrange_invert(a, 8, method="formula")
-        for x, y in zip(newton, formula):
-            assert abs(x - y) < mp.mpf("1e-42")
-        # recomposition returns the identity to truncation order
-        back = compose(a, newton, 8)
-        assert abs(back[0] - 1) < mp.mpf("1e-42")
-        for c in back[1:]:
-            assert abs(c) < mp.mpf("1e-40")
-
-
-def test_lagrange_guards(ctx50):
-    mp = ctx50.mp
-    with pytest.raises(ValueError):
-        lagrange_invert([], 3)
-    with pytest.raises(ValueError):
-        lagrange_invert([mp.mpf(1)], 0)
-    with pytest.raises(ValueError):
-        lagrange_invert([mp.mpf(1)], 9, method="formula")
-    with pytest.raises(ValueError):
-        lagrange_invert([mp.mpf(1)], 3, method="bogus")
 
 
 def test_two_pole_closed_vs_series(ctx50):
@@ -421,42 +327,17 @@ def test_phi_laurent_agreement(ctx50):
 
 
 def test_three_pole_series_against_lagrange_oracle(ctx50):
+    # the Lagrange-Burmann K_j of saddle_series against the Newton oracle
     mp = ctx50.mp
     for ell in (4, 5, 8):
         data = lf_data_ntuple(ell, ctx50)
         c1, c2, c3 = (dressed_residue(pole, ctx50) for pole in data.poles)
         mon = [(c1, 0, ell), (c2, 1, ell - 1), (c3, 2, ell - 2)]
         got = saddle_series(data, ctx50).K
-        want = curve_saddle_series_lagrange(mon, ell + 1, ctx50)
+        want = curve_saddle_series(mon, ell + 1, ctx50)
+        assert len(got) == len(want) == ell + 1
         for x, y in zip(got, want):
             assert abs(x - y) < mp.mpf("1e-50") * max(1, abs(y))
-
-
-@st.composite
-def curves(draw):
-    """A leading monomial gamma_1 z^q (gamma_1 > 0, q <= 6) and one or two
-    monomials gamma x^p z^r with p >= 1 and 1 <= r <= q."""
-    qmax = draw(st.integers(1, 6))
-    lead = draw(st.fractions(Fraction(1, 4), 4, max_denominator=64))
-    mons = [(lead, 0, qmax)]
-    for _ in range(draw(st.integers(1, 2))):
-        gam = draw(st.fractions(-2, 2, max_denominator=64))
-        mons.append((gam, draw(st.integers(1, 3)), draw(st.integers(1, qmax))))
-    return mons
-
-
-@settings(max_examples=30, deadline=None)
-@given(curves(), st.integers(1, 8))
-def test_curve_series_matches_lagrange_oracle(mons, terms):
-    ctx = PrecisionContext(50)
-    mp = ctx.mp
-    mons = [(ctx.real(g), p, q) for g, p, q in mons]
-    got = curve_saddle_series(mons, terms, ctx)
-    want = curve_saddle_series_lagrange(mons, terms, ctx)
-    assert len(got) == terms
-    bound = mp.mpf(10) ** -(ctx.digits - 5)
-    for x, y in zip(got, want):
-        assert abs(x - y) <= bound * max(1, abs(y))
 
 
 @st.composite
@@ -489,8 +370,7 @@ def test_saddle_series_matches_lagrange_burmann(family, digits):
     # K_j is an exact 0 where its exponent (1 + (j-1) s)/(alpha+1) is an
     # integer, and where j - 1 is no sum of the curve's gaps
     # p_i = (alpha - nu_i)/s (so every K_j past K_1 of a single pole);
-    # every K_j matches the Newton route, and on short curves the
-    # compositional-inversion route too (0.05 s at 4 terms, 8 s at 13)
+    # every K_j matches the Newton route
     ctx = PrecisionContext(digits)
     mp = ctx.mp
     kind, arg = family
@@ -504,18 +384,15 @@ def test_saddle_series_matches_lagrange_burmann(family, digits):
     K = expansion.K
     terms = len(K)
     reached = _gap_sums([p for _, p, _ in expansion.curve[1:]], terms - 1)
-    oracles = [curve_saddle_series(expansion.curve, terms, ctx)]
-    if terms <= 4:
-        oracles.append(curve_saddle_series_lagrange(expansion.curve, terms, ctx))
+    want = curve_saddle_series(expansion.curve, terms, ctx)
     for j in range(1, terms + 1):
         integral = (1 + (j - 1) * expansion.step) % expansion.ell == 0
         assert (K[j - 1] == 0) == (integral or not reached[j - 1]), j
-        for want in oracles:
-            y = want[j - 1]
-            if K[j - 1] == 0:
-                assert abs(y) <= mp.mpf("1e-45") * K[0], j
-            else:
-                assert abs(K[j - 1] - y) <= mp.mpf("1e-45") * abs(y), j
+        y = want[j - 1]
+        if K[j - 1] == 0:
+            assert abs(y) <= mp.mpf("1e-45") * K[0], j
+        else:
+            assert abs(K[j - 1] - y) <= mp.mpf("1e-45") * abs(y), j
     if kind == "ntuple":
         # gaps 1 and 2 reach every x-power: zero exactly when ell | j
         assert [k == 0 for k in K] == [j % arg == 0 for j in range(1, terms + 1)]
