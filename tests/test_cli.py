@@ -606,12 +606,14 @@ GOLDEN_COMMANDS = {
     "constants-ell7": "constants --ell 7",
     "constants-ell8": "constants --ell 8",
     "constants-ell12": "constants --ell 12",
+    "constants-ell3-digits400": "constants --ell 3 --digits 400",
     "constants-ell20-digits200": "constants --ell 20 --digits 200",
     "constants-ell63-json": "constants --ell 63 --format json",
     "constants-power0": "constants --family power --d 0",
     "constants-power1-json": "constants --family power --d 1 --format json",
     "constants-power2-digits120": "constants --family power --d 2 --digits 120",
     "constants-power3-json": "constants --family power --d 3 --format json",
+    "constants-power3-digits400": "constants --family power --d 3 --digits 400",
     "constants-power4-json": "constants --family power --d 4 --format json",
     "compare-ell3": "compare --ell 3 --points 50,200,1000",
     "compare-ell3-terms1": "compare --ell 3 --terms 1 --points 50,200,1000",
