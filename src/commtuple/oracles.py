@@ -11,7 +11,9 @@ subgroup counts; expand_kernel solves the product-expansion recurrence
 row by row, expand_product_direct multiplies the truncated factors and
 pentagonal_p runs the pentagonal-number recurrence;
 brute_force_commuting counts commuting tuples of explicit permutations;
-bernoulli_recurrence builds B_0..B_m from the binomial recurrence.
+bernoulli_recurrence builds B_0..B_m from the binomial recurrence, the
+reference for the Bernoulli numbers that precision.py takes from
+mpmath's bernfrac.
 
 The K_j that saddle.saddle_series reads off the Lagrange-Burmann
 formula are checked by curve_saddle_series, which solves the saddle
@@ -201,8 +203,8 @@ def brute_force_commuting(ell: int, n: int) -> int:
 
 def bernoulli_recurrence(m: int) -> list[Fraction]:
     """B_0..B_m (convention B_1 = -1/2) from
-    sum_{j<=k} binom(k+1, j) B_j = 0, one Fraction sum per index; the
-    tangent-number route `precision.bernoulli_fraction` must agree."""
+    sum_{j<=k} binom(k+1, j) B_j = 0, one Fraction sum per index;
+    `precision.bernoulli_fraction`, mpmath's bernfrac, must agree."""
     out = [Fraction(1)]
     for k in range(1, m + 1):
         s = sum(Fraction(comb(k + 1, j)) * out[j] for j in range(k))

@@ -4,50 +4,28 @@ Every routine takes an explicit PrecisionContext and returns values
 bound to that context's mpf type, computed at its working precision.
 zeta at odd integers, zeta' at integers >= 2 and Euler's gamma come
 from mpmath; zeta at even integers and at s <= 0 come from exact
-Bernoulli numbers, built from integer tangent numbers in O(m^2)
-small-integer steps for B_0..B_m.  oracles.py keeps Euler-Maclaurin
-routes for the mpmath values, which the tests compare against.
+Bernoulli numbers, which are mpmath's bernfrac.  oracles.py keeps the
+binomial Bernoulli recurrence and Euler-Maclaurin routes for the mpmath
+values, which the tests compare against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
 
-
+@cache
 def bernoulli_fraction(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (convention B_1 = -1/2).
-
-    When the cache is too short it is rebuilt in place from tangent
-    numbers, to at least twice its length; `del _BERNOULLI[1:]` resets it.
-    """
+    """Exact Bernoulli number B_m (convention B_1 = -1/2), from mpmath's
+    bernfrac.  The constants ask for the same few B_m thousands of times
+    (4058 calls at ell = 63), hence the cache."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if len(_BERNOULLI) <= m:
-        _fill_bernoulli(max(m, 2 * len(_BERNOULLI)))
-    return _BERNOULLI[m]
+    from mpmath import bernfrac
 
-
-def _fill_bernoulli(m: int) -> None:
-    """Rebuild _BERNOULLI as B_0..B_m (at least) from the tangent numbers
-    T_1..T_n, n = m // 2, by the small-integer recurrence of Brent and
-    Harvey ("Fast computation of Bernoulli, tangent and secant numbers",
-    2013): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
-    n = m // 2
-    t = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    out = [Fraction(1), Fraction(-1, 2)]
-    for k in range(1, n + 1):
-        four_k = 4**k
-        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
-        out += [b if k % 2 else -b, Fraction(0)]
-    _BERNOULLI[:] = out
+    return Fraction(*bernfrac(m))
 
 
 class PrecisionContext:
@@ -136,20 +114,14 @@ def zeta_prime_int(m: int, ctx: PrecisionContext):
     differentiated Euler-Maclaurin sum in oracles.py."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    key = ("zeta_prime", m)
-    if key not in ctx._cache:
-        ctx._cache[key] = ctx.mp.zeta(m, 1, 1)
-    return ctx._cache[key]
+    return ctx.mp.zeta(m, 1, 1)
 
 
 def euler_gamma(ctx: PrecisionContext):
     """The Euler-Mascheroni constant: mpmath's at the context's working
     precision, checked in the tests against the Euler-Maclaurin sum in
     oracles.py."""
-    key = ("gamma",)
-    if key not in ctx._cache:
-        ctx._cache[key] = +ctx.mp.euler
-    return ctx._cache[key]
+    return +ctx.mp.euler
 
 
 def zeta_prime_neg(d: int, ctx: PrecisionContext):
@@ -161,23 +133,17 @@ def zeta_prime_neg(d: int, ctx: PrecisionContext):
     """
     if not 0 <= d <= 6:
         raise ValueError("d must be in 0..6")
-    key = ("zeta_prime_neg", d)
-    if key in ctx._cache:
-        return ctx._cache[key]
     mp = ctx.mp
     if d == 0:
-        val = -ln2pi(ctx) / 2
-    elif d % 2 == 0:
+        return -ln2pi(ctx) / 2
+    if d % 2 == 0:
         sign = (-1) ** (d // 2)
-        val = sign * factorial(d) * zeta_int(d + 1, ctx) / (2 * mp.power(2 * mp.pi, d))
-    else:
-        chi = (
-            mp.power(2, -d)
-            * mp.power(mp.pi, -d - 1)
-            * (-1) ** ((d + 1) // 2)
-            * factorial(d)
-        )
-        psi = -euler_gamma(ctx) + sum(mp.mpf(1) / k for k in range(1, d + 1))
-        val = chi * ((ln2pi(ctx) - psi) * zeta_int(d + 1, ctx) - zeta_prime_int(d + 1, ctx))
-    ctx._cache[key] = val
-    return val
+        return sign * factorial(d) * zeta_int(d + 1, ctx) / (2 * mp.power(2 * mp.pi, d))
+    chi = (
+        mp.power(2, -d)
+        * mp.power(mp.pi, -d - 1)
+        * (-1) ** ((d + 1) // 2)
+        * factorial(d)
+    )
+    psi = -euler_gamma(ctx) + sum(mp.mpf(1) / k for k in range(1, d + 1))
+    return chi * ((ln2pi(ctx) - psi) * zeta_int(d + 1, ctx) - zeta_prime_int(d + 1, ctx))

@@ -287,10 +287,15 @@ DELETED_ORACLES = ("lagrange_saddle_K", "curve_saddle_series_lagrange",
                    "multinomial", "_binom_frac")
 
 
+# the tangent-number table that mpmath's bernfrac replaced
+DELETED_PRECISION = ("_BERNOULLI", "_fill_bernoulli")
+
+
 def test_deleted_names_stay_gone():
-    from commtuple import arith, oracles, saddle, series
+    from commtuple import arith, oracles, precision, saddle, series
 
     assert [name for name in DELETED if hasattr(commtuple, name)] == []
+    assert [name for name in DELETED_PRECISION if hasattr(precision, name)] == []
     for module in (commtuple, arith, series, saddle):
         assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
     assert [name for name in MOVED if not callable(getattr(oracles, name, None))] == []

@@ -16,7 +16,6 @@ from commtuple import (
     zeta_prime_int,
     zeta_prime_neg,
 )
-from commtuple import precision
 from commtuple.oracles import (
     _em_sum,
     bernoulli_recurrence,
@@ -49,10 +48,9 @@ def test_bernoulli_values():
 def test_bernoulli_matches_recurrence():
     want = bernoulli_recurrence(300)
     assert [bernoulli_fraction(m) for m in range(301)] == want
-    # the reset the benchmark applies before each round, then requests
-    # that shrink, grow past the cache and hit odd indices
+    # from an empty cache, requests that shrink, grow and hit odd indices
     for order in ((7, 200, 3, 64, 1), (300, 0, 299, 1)):
-        del precision._BERNOULLI[1:]
+        bernoulli_fraction.cache_clear()
         for m in order:
             assert bernoulli_fraction(m) == want[m], m
     with pytest.raises(ValueError):
