@@ -11,8 +11,9 @@ counts, direct product expansion and the pentagonal recurrence for
 series, brute-force permutation counting for small groups, and a
 numeric saddle-point solver for the series coefficients.  The oracles
 live in commtuple.oracles, which this namespace neither exports nor
-loads; only the numeric saddle solver rho_numeric stays in the saddle
-module and in this namespace, where the benchmark harness binds it.
+loads; only the numeric saddle solver rho_numeric, all that the saddle
+module holds, is exported, because the benchmark harness binds it.  The
+saddle series itself lives in asymptotics.
 
 Importing the package loads the exact tables only (arith and series).
 The inequality scans and the analytic layer load on first use of one of
@@ -59,6 +60,8 @@ _LAZY = {
     "compare_exact_asym": "asymptotics",
     "evaluate_expansion": "asymptotics",
     "expansion": "asymptotics",
+    "SaddleExpansion": "asymptotics",
+    "saddle_series": "asymptotics",
     "LSeriesData": "lfunction",
     "dressed_residue": "lfunction",
     "lf_data_for": "lfunction",
@@ -71,9 +74,7 @@ _LAZY = {
     "zeta_nonpos": "precision",
     "zeta_prime_int": "precision",
     "zeta_prime_neg": "precision",
-    "SaddleExpansion": "saddle",
     "rho_numeric": "saddle",
-    "saddle_series": "saddle",
 }
 
 __all__ = sorted([

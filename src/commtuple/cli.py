@@ -331,6 +331,12 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
     unread, value = ("--max-n", args.max_n) if counts else ("--n", args.n)
     if value is not None:
         raise ValueError(f"oracle {op} does not take {unread}")
+    if op != "direct":  # no family: the counts read --ell, pentagonal nothing
+        if args.family != "ntuple":
+            raise ValueError(f"oracle {op} does not take --family")
+        for flag in ("d", "k", "table") if counts else ("ell", "d", "k", "table"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"oracle {op} does not take --{flag}")
     if counts:
         if args.ell is None or args.n is None:
             raise ValueError(f"oracle {op} requires --ell and --n")

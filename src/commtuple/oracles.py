@@ -1,6 +1,6 @@
 """Independent slow routes for the exact kernel and the saddle-point
 constants, for the tests and the `oracle` subcommand.  One rule: the
-oracles live here (rho_numeric aside; see the saddle module), the
+oracles live here (rho_numeric aside: it is the saddle module), the
 package namespace exports none of their names, and the only import of
 this module outside the tests is the one inside cli._cmd_oracle, so no
 other command loads it.
@@ -15,7 +15,7 @@ bernoulli_recurrence builds B_0..B_m from the binomial recurrence, the
 reference for the Bernoulli numbers that precision.py takes from
 mpmath's bernfrac.
 
-The K_j that saddle.saddle_series reads off the Lagrange-Burmann
+The K_j that asymptotics.saddle_series reads off the Lagrange-Burmann
 formula are checked by curve_saddle_series, which solves the saddle
 curve for z(x) by Newton's iteration in TruncPoly arithmetic (dense
 truncated polynomials), and for two poles also by two_pole_K, closed
@@ -23,7 +23,8 @@ forms of K_1..K_5.  The A_k that asymptotics.expansion assembles from
 powers of the K-series are checked against TruncPoly inverse powers.
 zeta_em, zeta_prime_em and euler_gamma_em sum Euler-Maclaurin series
 for the values that precision.py takes from mpmath.  Nothing here
-imports the saddle module, so no oracle runs on the code it checks.
+imports the saddle or the asymptotics module, so no oracle runs on the
+code it checks.
 """
 
 from __future__ import annotations

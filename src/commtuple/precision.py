@@ -39,10 +39,10 @@ class PrecisionContext:
     guard = 10
 
     def __init__(self, digits: int = 50):
-        from mpmath.ctx_mp import MPContext
-
         if digits < 50:
             raise ValueError("digits must be >= 50")
+        from mpmath.ctx_mp import MPContext
+
         self.digits = digits
         self.mp = MPContext()
         self.mp.dps = digits + self.guard

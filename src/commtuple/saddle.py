@@ -1,123 +1,20 @@
-"""The saddle-point series of a family with integer poles, and the
-numeric saddle-point oracle.
-
-Integer poles alpha = nu_1 > nu_2 > ... >= 1 of a family's Dirichlet
-series, with dressed residues c_i, give the saddle equation
-sum_i c_i rho^{-nu_i - 1} = n.  With t = n^{-1/(alpha+1)} it reads
-rho = t Q(rho)^{1/(alpha+1)}, Q(v) = sum_i c_i v^{alpha - nu_i}, so by
-Lagrange-Burmann inversion [t^k] rho = (1/k) [v^{k-1}] Q(v)^{k/(alpha+1)}.
-Only k = 1 + (j-1) s occur, s = gcd(alpha - nu_i), and Q/c_1 is a
-polynomial in w = v^s with constant term 1, so
-
-    rho_n = sum_j K_j n^{-k/(alpha+1)},
-    K_j = c_1^{k/(alpha+1)} [w^{j-1}] (Q/c_1)^{k/(alpha+1)} / k.
-
-series_power forms that power by J. C. P. Miller's recurrence, and
-asymptotics.py takes the powers of 1/R(x) from it too.  When alpha + 1
-divides k the power of Q is a polynomial of degree
-(k/(alpha+1)) (alpha - nu_min) < k - 1 (as nu_min >= 1), so the
-coefficient is 0; saddle_series sets every K_j whose exponent
-k/(alpha+1) is an integer to an exact 0 rather than keep its round-off.
-It also keeps the monomials of the saddle curve
-sum_i c_i x^{p_i} z^{nu_i + 1} = 1, p_i = (alpha - nu_i)/s, the same
-equation in x = n^{-s/(alpha+1)} and z = t/rho, which the expansion
-reads and oracles.curve_saddle_series solves by Newton's iteration.
+"""The numeric saddle-point oracle.
 
 rho_numeric solves the untruncated saddle equation -Phi'(rho) = n by
 Newton's method, each pass one certified fixed-point sum of the pair
-(-Phi', Phi'') from _exp_weight_sum, and serves as the oracle for the
-series route.  It stays here, not in oracles.py with the other oracles,
-because the benchmark harness binds it as saddle.rho_numeric.
+(-Phi', Phi'') from _exp_weight_sum.  It is the oracle of the series
+route (asymptotics.saddle_series), so it uses no pole data: it reads
+only the weights f(m).  It stays here, not in oracles.py with the other
+oracles, only because the benchmark harness binds it as
+saddle.rho_numeric; no analytic command loads this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import expm1, gcd, log
+from math import expm1, log
 
 from .arith import ExponentSpec, evaluate_exponent
-from .lfunction import dressed_residue
 from .precision import PrecisionContext
-
-# --- saddle curve -> K-series ---
-
-
-def series_power(f, e: Fraction, n: int, ctx: PrecisionContext) -> list:
-    """The first n coefficients of f(x)^e, for a series f with f_0 = 1
-    (a list of coefficients, those past its end read as 0) and a
-    rational e, by J. C. P. Miller's recurrence
-
-        g_0 = 1,  g_m = (1/m) sum_{i=1..m} ((e+1) i - m) f_i g_{m-i}.
-
-    Zero f_i are skipped, so each g_m of a sparse f costs one term per
-    nonzero f_i.
-    """
-    mp = ctx.mp
-    a, b = e.numerator, e.denominator  # (e+1) i - m = ((a+b) i - m b)/b
-    nonzero = [(i, fi) for i, fi in enumerate(f[1:n], start=1) if fi]
-    g = [mp.mpf(1)]
-    for m in range(1, n):
-        acc = mp.mpf(0)
-        for i, fi in nonzero:
-            if i > m:
-                break
-            acc += ((a + b) * i - m * b) * fi * g[m - i]
-        g.append(acc / (m * b))
-    return g
-
-
-@dataclass(frozen=True)
-class SaddleExpansion:
-    """A saddle curve, its monomials (c_i, p_i, q_i) dominant first, and
-    the K_j of rho_n = sum_j K_j n^{-(1 + (j-1) step)/ell}, x = n^{-step/ell},
-    where ell = q_1 = alpha + 1 (the tuple length of an ntuple family)."""
-
-    curve: tuple
-    step: int
-    K: tuple
-
-    @property
-    def ell(self) -> int:
-        return self.curve[0][2]
-
-    @property
-    def expansion_terms(self) -> int:
-        """J, the number of expansion exponents
-        (alpha - (k-1) step)/(alpha + 1) that are >= 0."""
-        return (self.ell - 1) // self.step + 1
-
-
-def saddle_series(data, ctx: PrecisionContext) -> SaddleExpansion:
-    """The saddle curve of pole data (see the module docstring) and its
-    first J + 1 terms K_j, J the number of expansion exponents.  One pole
-    leaves x out of the curve; it gets s = alpha + 1, so J = 1."""
-    cs = [dressed_residue(pole, ctx) for pole in data.poles]
-    nus = [int(nu) for nu, _ in data.poles]
-    if nus[-1] < 1 or any(a <= b for a, b in zip(nus, nus[1:])):
-        raise ValueError("poles must decrease and stay >= 1")
-    alpha = nus[0]
-    step = gcd(*(alpha - nu for nu in nus)) or alpha + 1
-    curve = tuple((c, (alpha - nu) // step, nu + 1) for c, nu in zip(cs, nus))
-    terms = alpha // step + 2
-    zero = ctx.mp.mpf(0)
-    f = [zero] * terms  # Q/c_1 in w, cut after w^{terms-1}
-    for c, p, _ in curve[1:]:
-        if p < terms:
-            f[p] = c / cs[0]
-    K = []
-    for j in range(1, terms + 1):
-        k = 1 + (j - 1) * step
-        if k % (alpha + 1) == 0:
-            # an integral exponent: exactly 0 (see the module docstring)
-            K.append(zero)
-            continue
-        e = Fraction(k, alpha + 1)
-        K.append(ctx.power_frac(cs[0], e) * series_power(f, e, j, ctx)[j - 1] / k)
-    return SaddleExpansion(curve, step, tuple(K))
-
-
-# --- numeric saddle point and its weight sums (oracle route) ---
 
 
 def _grow_weights(spec: ExponentSpec, table: list, upto: int) -> None:

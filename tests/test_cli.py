@@ -375,12 +375,23 @@ def test_analytic_commands_refuse_ell_below_two(capsys):
     ("oracle hnf --ell 2 --n 4 --max-n 9", "oracle hnf does not take --max-n"),
     ("oracle commuting --ell 2 --n 3 --max-n 1",
      "oracle commuting does not take --max-n"),
+    ("oracle pentagonal --max-n 3 --family power --d 2",
+     "oracle pentagonal does not take --family"),
+    ("oracle pentagonal --max-n 3 --ell 2", "oracle pentagonal does not take --ell"),
+    ("oracle hnf --ell 2 --n 4 --d 3", "oracle hnf does not take --d"),
+    ("oracle hnf --ell 2 --n 4 --k 5", "oracle hnf does not take --k"),
+    ("oracle commuting --ell 2 --n 3 --table w.csv",
+     "oracle commuting does not take --table"),
+    ("oracle commuting --ell 2 --n 3 --family polygonal --k 4",
+     "oracle commuting does not take --family"),
 ], ids=["pentagonal-max-n", "direct-max-n", "constants-digits", "compare-digits",
         "seq-ell", "logconcave-ell", "seq-d", "seq-k", "constants-d", "compare-d",
         "constants-ell64", "compare-ell64",
         "hnf-ell", "hnf-n", "commuting-ell", "commuting-n", "direct-max-n-500",
         "ntuple-d", "power-ell", "polygonal-table", "table-file-k", "direct-k",
-        "power-no-d", "pentagonal-n", "direct-n", "hnf-max-n", "commuting-max-n"])
+        "power-no-d", "pentagonal-n", "direct-n", "hnf-max-n", "commuting-max-n",
+        "pentagonal-family", "pentagonal-ell", "hnf-d", "hnf-k", "commuting-table",
+        "commuting-family"])
 def test_refusals_name_the_flag(capsys, command, error):
     rc, out, err = run(capsys, *command.split())
     assert (rc, out) == (1, "")

@@ -58,58 +58,25 @@ def test_no_production_module_imports_oracles():
     assert _oracle_imports(sample) == [None, "f", "g"]
 
 
-ORACLE_FREE_ROOTS = ("rho_numeric", "_exp_weight_sum")
-SERIES_MODULES = {"lfunction", "asymptotics", "oracles"}
-
-
-def _from_series(dotted):
-    return not SERIES_MODULES.isdisjoint(dotted.split("."))
-
-
-def _series_references(source, roots):
-    """Names from SERIES_MODULES that the module-level functions roots,
-    or any module-level function they reach by name, refer to."""
-    tree = ast.parse(source)
-    origin = {}  # name bound by a module-level import -> where it comes from
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                origin[alias.asname or alias.name] = f"{node.module or ''}.{alias.name}"
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                origin[alias.asname or alias.name.split(".")[0]] = alias.name
-    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert set(roots) <= set(functions)
-    found, seen, todo = set(), set(), list(roots)
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Name):
-                if node.id in functions:
-                    todo.append(node.id)
-                elif _from_series(origin.get(node.id, "")):
-                    found.add(f"{name}: {node.id}")
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                if any(map(_from_series, _imported_modules(node))):
-                    found.add(f"{name}: import")
-    return found
+def _imports_from(source, modules):
+    """The dotted names source imports, at any depth, that pass through
+    one of the modules named in the set modules."""
+    return [name for name in _imported_modules(ast.parse(source))
+            if not modules.isdisjoint(name.split("."))]
 
 
 def test_numeric_saddle_stays_off_the_series_route():
-    # rho_numeric is the oracle of the K-series route: it must not use
-    # pole data, Laurent series or the oracles it checks
+    # rho_numeric is the oracle of the K-series route: the saddle module
+    # must not use pole data, the series route or the oracles it checks
+    series = {"lfunction", "asymptotics", "oracles"}
     source = (PACKAGE / "saddle.py").read_text(encoding="utf-8")
-    assert _series_references(source, ORACLE_FREE_ROOTS) == set()
-    # the check sees a reference two calls away
-    bad = ("from .lfunction import dressed_residue\n"
-           "def rho_numeric():\n    return _helper()\n"
-           "def _helper():\n    return dressed_residue\n")
-    assert _series_references(bad, ("rho_numeric",)) == {"_helper: dressed_residue"}
-    inline = "def rho_numeric():\n    from . import asymptotics\n"
-    assert _series_references(inline, ("rho_numeric",)) == {"rho_numeric: import"}
+    assert _imports_from(source, series) == []
+    # the check sees an import inside a function and an absolute import
+    sample = ("from .arith import x\ndef rho_numeric():\n"
+              "    from .lfunction import dressed_residue\n"
+              "import commtuple.asymptotics\n")
+    assert _imports_from(sample, series) == [
+        "commtuple.asymptotics", "lfunction", "lfunction.dressed_residue"]
 
 
 def _unused_imports(source):
@@ -190,63 +157,83 @@ STARTUP_FREE = ("dataclasses", "inspect", "json", "commtuple.inequalities")
 
 def test_import_loads_only_the_exact_layer():
     code = (
-        "import sys\n"
+        "import contextlib, sys\n"
         "import commtuple, commtuple.cli\n"
         f"startup = [n for n in {STARTUP_FREE!r} if n in sys.modules]\n"
         f"names = {ANALYTIC_MODULES!r}\n"
         "before = [n for n in names if n in sys.modules]\n"
         "commtuple.PrecisionContext\n"
         "after = [n for n in names if n in sys.modules]\n"
+        "with contextlib.suppress(ValueError):\n"
+        "    commtuple.PrecisionContext(49)\n"
+        "refused = [n for n in names if n in sys.modules]\n"
         "commtuple.PrecisionContext(50)\n"
         "built = [n for n in names if n in sys.modules]\n"
         "from commtuple import *\n"
         "unbound = [n for n in commtuple.__all__ if n not in globals()]\n"
         "star = [n for n in names if n in sys.modules]\n"
-        "print(repr([startup, before, after, built, unbound, star,\n"
+        "print(repr([startup, before, after, refused, built, unbound, star,\n"
         "            len(commtuple.__all__)]))\n"
     )
-    startup, before, after, built, unbound, star, count = ast.literal_eval(
+    startup, before, after, refused, built, unbound, star, count = ast.literal_eval(
         _run_fresh(code))
     assert startup == []
     assert before == []
-    # the class loads without mpmath; the first context loads it
-    assert after == ["commtuple.precision"]
+    # the class loads without mpmath, and so does a refused context; the
+    # first context built loads it
+    assert after == refused == ["commtuple.precision"]
     assert built == ["mpmath", "commtuple.precision"]
     assert unbound == [] and count == 41
     # the oracles belong to the tests: the whole namespace loads without them
     assert "commtuple.oracles" not in star
 
 
-def test_only_the_oracle_subcommand_loads_oracles():
-    # after each command: are the oracles, the scans, json and mpmath
-    # loaded?  The exact oracle ops build no PrecisionContext
+# what a command may leave loaded, in the columns of _loaded_after
+LOADED = ("commtuple.oracles", "commtuple.saddle", "commtuple.inequalities", "json",
+          "mpmath")
+
+
+def _loaded_after(*argvs):
+    """Run the CLI on each argv in turn in one fresh interpreter; after
+    each, which of LOADED are loaded."""
     code = (
         "import contextlib, io, sys\n"
         "from commtuple import cli\n"
         "loaded = []\n"
-        "for argv in (['seq', '--ell', '2', '--max-n', '5'],\n"
-        "             ['logconcave', '--ell', '2', '--max-n', '20', '--format', 'text'],\n"
-        "             ['logconcave', '--ell', '2', '--max-n', '20'],\n"
-        "             ['oracle', 'pentagonal', '--max-n', '5'],\n"
-        "             ['oracle', 'direct', '--ell', '2', '--max-n', '5'],\n"
-        "             ['oracle', 'hnf', '--ell', '2', '--n', '4'],\n"
-        "             ['oracle', 'commuting', '--ell', '2', '--n', '3']):\n"
+        f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
-        "    loaded.append([name in sys.modules for name in\n"
-        "                   ('commtuple.oracles', 'commtuple.inequalities', 'json',\n"
-        "                    'mpmath')])\n"
+        f"    loaded.append([name in sys.modules for name in {LOADED!r}])\n"
         "print(repr(loaded))\n"
     )
-    assert ast.literal_eval(_run_fresh(code)) == [
-        [False, False, False, False],
-        [False, True, False, False],
-        [False, True, True, False],
-        [True, True, True, False],
-        [True, True, True, False],
-        [True, True, True, False],
-        [True, True, True, False],
+    return ast.literal_eval(_run_fresh(code))
+
+
+def test_only_the_oracle_subcommand_loads_oracles():
+    # the exact oracle ops build no PrecisionContext
+    assert _loaded_after(
+        ["seq", "--ell", "2", "--max-n", "5"],
+        ["logconcave", "--ell", "2", "--max-n", "20", "--format", "text"],
+        ["logconcave", "--ell", "2", "--max-n", "20"],
+        ["oracle", "pentagonal", "--max-n", "5"],
+        ["oracle", "direct", "--ell", "2", "--max-n", "5"],
+        ["oracle", "hnf", "--ell", "2", "--n", "4"],
+        ["oracle", "commuting", "--ell", "2", "--n", "3"],
+    ) == [
+        [False, False, False, False, False],
+        [False, False, True, False, False],
+        [False, False, True, True, False],
+        [True, False, True, True, False],
+        [True, False, True, True, False],
+        [True, False, True, True, False],
+        [True, False, True, True, False],
     ]
+    # the analytic commands load mpmath, but neither the oracles nor the
+    # numeric saddle oracle
+    assert _loaded_after(
+        ["constants", "--ell", "4"],
+        ["compare", "--ell", "3", "--points", "100"],
+    ) == [[False, False, False, False, True]] * 2
 
 
 # a union type carries no __module__
@@ -303,20 +290,18 @@ def test_deleted_names_stay_gone():
     assert len(commtuple.__all__) == 41
 
 
-def _saddle_imports(source):
-    return [name for name in _imported_modules(ast.parse(source))
-            if "saddle" in name.split(".")]
-
-
 def test_oracles_do_not_import_the_saddle_module():
     # the Newton route and the closed two-pole forms check saddle_series,
-    # so they must not run on its code
-    assert _saddle_imports((PACKAGE / "oracles.py").read_text(encoding="utf-8")) == []
+    # and TruncPoly the A_k of expansion, so they must not run on the
+    # code of either module
+    checked = {"saddle", "asymptotics"}
+    source = (PACKAGE / "oracles.py").read_text(encoding="utf-8")
+    assert _imports_from(source, checked) == []
     # the check sees a relative, an aliased and an absolute import
     sample = ("from .saddle import x\nfrom . import saddle as s\n"
-              "import commtuple.saddle\nfrom .series import saddle_free\n")
-    assert _saddle_imports(sample) == [
-        "saddle", "saddle.x", ".saddle", "commtuple.saddle"]
+              "import commtuple.asymptotics\nfrom .series import saddle_free\n")
+    assert _imports_from(sample, checked) == [
+        "saddle", "saddle.x", ".saddle", "commtuple.asymptotics"]
 
 
 # What the benchmark harness under perfbench/ binds, module by module.  Its
