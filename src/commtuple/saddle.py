@@ -126,23 +126,31 @@ def _exp_weight_sum(
     falls with m, so the first m that passes is found by doubling
     and bisection, not by testing every term.  Terms 1..M are then added
     in fixed point, as Python ints scaled by 2^P, with no per-term mpf.
+    Each term costs one division.  With v = u^m and g = 1 - v,
+    r = floor(U_m 2^P / (2^P - U_m)) is v/g = u^m / (1 - u^m) in fixed
+    point; -Phi' adds m f r, and Phi'' adds m^2 f floor(r (r + 2^P) / 2^P),
+    because v/g^2 = (v/g)(1 + v/g).  That floor is floor(r^2 / 2^P) + r,
+    a square and a shift.
 
     Error budget, in ulps of 2^-P (f >= 0, F = max f(m) over m <= M):
     - U, the image of u computed at P + 32 bits and truncated, is off by
       less than 1 + 2^-31.  U_m = U_{m-1} U >> P: as both factors are at
       most 1, the product is off by less than 1 + 2^-31 + e_{m-1}, and
       the shift adds less than 1, so U_m is off by e_m < 3m.
-    - The gap g_m = 1 - u^m is 2^P - U_m, off by less than 3m.  Gaps
-      grow with m, so g_m >= g_1 = 1 - u, and as P grows with 1/g_1 a
-      small z loses no accuracy to the cancellation in 1 - u^m.
-    - P below makes 6 M 2^-P <= g_1, so a computed gap g' lies in
-      [g/2, 3g/2].  With v = u^m <= 1 off by less than 3m:
-        m f v / g       is off by m f (6m/g + 6m/g^2) <= 12 m^2 f / g^2,
-        m^2 f v / g^2   by m^2 f (12m/g^2 + 36m/g^3) <= 48 m^3 f / g^3,
-      plus 1 for the floor division that forms each.
-    - With sum_{m <= M} m^k <= M^{k+1}, every sum is off by less than
-      C = 48 F M^4 / g_1^3 + 2M.  P = bit_length(C) + 1 - e, with
-      eps >= 2^(e-1), gives C 2^-P < eps, and with it 6 M 2^-P <= g_1.
+    - Gaps grow with m, so g >= g_1 = 1 - u, and as P grows with 1/g_1
+      a small z loses no accuracy to the cancellation in 1 - u^m.
+    - P below makes 6 M 2^-P <= g_1.  The computed v' = U_m 2^-P and
+      g' = 1 - v' sum to 1, as v and g do, so v' - v = g - g' = d with
+      |d| < 3m, g' >= g/2, and v'/g' - v/g = d / (g g').  So r is off by
+      dr < 6m/g^2 + 1 <= 7m/g^2, and dr 2^-P <= 7/(6g).
+    - With x = r 2^-P - v/g, r (r + 2^P) 2^-2P - v/g^2 = x (1 + 2v/g + x),
+      and 1 + 2v/g = (1 + v)/g <= 2/g.  So the floor that multiplies
+      m^2 f is off by less than dr (2/g + 7/(6g)) + 1 < 24 m/g^3.
+    - So the terms are off by less than 7 m^2 f / g^2 and 24 m^3 f / g^3,
+      and with sum_{m <= M} m^k <= M^{k+1} each sum is off by less than
+      24 F M^4 / g_1^3, below C = 48 F M^4 / g_1^3 + 2M.
+      P = bit_length(C) + 1 - e, with eps >= 2^(e-1), gives C 2^-P < eps,
+      and with it 6 M 2^-P <= g_1.
     So each returned sum is within eps of the sum of its first M terms,
     which is within eps of the whole sum, before the one rounding to
     the working precision.
@@ -174,10 +182,10 @@ def _exp_weight_sum(
             fm = table[m]
             if not fm:
                 continue
-            gap = one - um
-            num = m * fm * um
-            total += (num << P) // gap
-            total2 += (m * num << 2 * P) // (gap * gap)
+            r = (um << P) // (one - um)
+            mf = m * fm
+            total += mf * r
+            total2 += m * mf * ((r * r >> P) + r)
     return mp.ldexp(total, -P), mp.ldexp(total2, -P)
 
 

@@ -482,12 +482,10 @@ def weight_sum_cases(draw):
     return spec, 10 ** draw(st.floats(low, 0.6))
 
 
-@settings(max_examples=40, deadline=None)
-@given(weight_sum_cases())
-def test_weight_sum_matches_reference(case):
-    spec, z = case
-    ctx = PrecisionContext(50)
+def check_weight_sum(spec, z, ctx):
+    """_exp_weight_sum against exp_weight_sum_reference at z."""
     mp = ctx.mp
+    z = ctx.real(z)
     got = saddle._exp_weight_sum(spec, z, ctx)
     # 64 more bits leave the reference's own rounding far below the bound
     with mp.workprec(mp.prec + 64):
@@ -497,6 +495,33 @@ def test_weight_sum_matches_reference(case):
         # both stop at the same m; what remains is the fixed-point error
         # (< eps) and one rounding to the working precision
         assert abs(x - y) <= eps * (1 + abs(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_sum_cases())
+def test_weight_sum_matches_reference(case):
+    spec, z = case
+    check_weight_sum(spec, z, PrecisionContext(50))
+
+
+_WIDE_TABLE = TableExponent((0, 10**6, 0, 999_983, 3, 0, 0, 10**6, 1, 0,
+                             524_287, 0, 7, 10**6))
+
+
+@pytest.mark.parametrize("digits", [100, 200])
+@pytest.mark.parametrize("spec, z", [
+    # the analytic benchmark's roots for N_4
+    (SubgroupCount(3), "0.18792226622457854"),
+    (SubgroupCount(3), "0.33228454374170656"),
+    (Power(0), "0.05"),
+    # a finite table with zeros and 10^6-sized weights, where 2^P - U_m
+    # cancels most of its bits
+    (_WIDE_TABLE, "0.001"),
+    (_WIDE_TABLE, "0.01"),
+], ids=lambda value: _weight_id(value) or value)
+def test_weight_sum_matches_reference_wide(spec, z, digits):
+    # the hypothesis test above runs at 50 digits only
+    check_weight_sum(spec, z, PrecisionContext(digits))
 
 
 @settings(max_examples=40, deadline=None)
