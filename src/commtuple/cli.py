@@ -126,7 +126,6 @@ def _analytic_data(args: argparse.Namespace):
 
     if args.digits < 50:
         raise ValueError("--digits must be >= 50")
-    ctx = PrecisionContext(args.digits)
     if args.family == "ntuple" and args.ell is not None:
         if args.ell < 2:
             raise ValueError(f"{args.subcommand} requires --ell >= 2")
@@ -135,6 +134,7 @@ def _analytic_data(args: argparse.Namespace):
     spec = _exponent_spec(args, 1)
     if args.family == "power" and args.d > 4:
         raise ValueError(f"{args.subcommand} requires --d <= 4")
+    ctx = PrecisionContext(args.digits)
     return ctx, lf_data_for(spec, ctx)
 
 
@@ -362,27 +362,16 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
     return _emit_seq(seq, args.fmt)
 
 
-# the output formats of each subcommand, its default first
-_FORMATS = {
-    "seq": ("csv", "json"),
-    "gl": ("csv", "json"),
-    "constants": ("text", "json"),
-    "compare": ("text", "json", "csv"),
-    "logconcave": ("json", "text"),
-    "bo": ("json", "text"),
-    "logconvex": ("json", "text"),
-    "oracle": ("csv", "json"),
-}
-
-_DISPATCH = {
-    "seq": _cmd_seq,
-    "gl": _cmd_gl,
-    "constants": _cmd_constants,
-    "compare": _cmd_compare,
-    "logconcave": _cmd_logconcave,
-    "bo": _cmd_bo,
-    "logconvex": _cmd_logconvex,
-    "oracle": _cmd_oracle,
+# each subcommand's handler and output formats, its default format first
+_COMMANDS = {
+    "seq": (_cmd_seq, ("csv", "json")),
+    "gl": (_cmd_gl, ("csv", "json")),
+    "constants": (_cmd_constants, ("text", "json")),
+    "compare": (_cmd_compare, ("text", "json", "csv")),
+    "logconcave": (_cmd_logconcave, ("json", "text")),
+    "bo": (_cmd_bo, ("json", "text")),
+    "logconvex": (_cmd_logconvex, ("json", "text")),
+    "oracle": (_cmd_oracle, ("csv", "json")),
 }
 
 
@@ -513,10 +502,11 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
-        args.fmt = args.fmt or _FORMATS[args.subcommand][0]
-        if args.fmt not in _FORMATS[args.subcommand]:
+        handler, formats = _COMMANDS[args.subcommand]
+        args.fmt = args.fmt or formats[0]
+        if args.fmt not in formats:
             raise ValueError(f"unsupported format {args.fmt!r}")
-        text = _DISPATCH[args.subcommand](args)
+        text = handler(args)
         if args.out:
             try:
                 _write_out(args.out, text)

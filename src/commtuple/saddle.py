@@ -112,9 +112,7 @@ def _first_passing(test, lo: int, hi: int) -> int | None:
     return hi
 
 
-def _exp_weight_sum(
-    spec: ExponentSpec, z, ctx: PrecisionContext, table: list | None = None
-):
+def _exp_weight_sum(spec: ExponentSpec, z, ctx: PrecisionContext, table: list):
     """The certified exponential-weight sums (-Phi', Phi''), with u = e^{-z}:
 
         -Phi' = sum_m m f(m) u^m / (1 - u^m),
@@ -163,8 +161,6 @@ def _exp_weight_sum(
     z = ctx.real(z)
     if not z > 0:
         raise ValueError("z must be positive")
-    if table is None:
-        table = []
     M = _tail_cutoff(spec, z, ctx)
     if M >= len(table):
         _grow_weights(spec, table, M)

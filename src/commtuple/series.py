@@ -11,15 +11,15 @@ solved left half in every row of the right half is a product of two
 polynomials per piece of the left rows' digits, each formed by
 Kronecker substitution in stdlib `decimal` (libmpdec multiplies large
 operands by number-theoretic transform, where Python `int` has only
-Karatsuba), and short row ranges are finished by dot products.  A
-piece is _SLICE digits wide, or wider where its product would leave
-the transform libmpdec pads it to partly empty: the piece then fills
-that transform, which costs the same.  Piece j spans only the rows
-from the first one that has it, so the products cover about the area
-under the table's digit curve rather than its bounding box.  The
-packed sums hold only while every c(k) >= 0, which every ExponentSpec
-gives (its weights f are non-negative), so the kernel refuses a
-negative c(k).
+Karatsuba), and short row ranges are finished by dot products.  One
+planner, `_Expansion.plan`, decides every piece: its digits, _SLICE
+of them or more where its product would leave the transform libmpdec
+pads it to partly empty (the piece then fills that transform, which
+costs the same); its rows, from the first one that has it, so the
+products cover about the area under the table's digit curve rather
+than its bounding box; and its Kronecker slot.  The packed sums hold
+only while every c(k) >= 0, which every ExponentSpec gives (its
+weights f are non-negative), so the kernel refuses a negative c(k).
 `oracles.expand_kernel` is the plain row-by-row oracle, signed c
 included.
 """
@@ -107,19 +107,12 @@ def _unpack(d: Decimal, count: int, width: int, out: list[Decimal]) -> None:
     _unpack(hi, count - half, width, out)
 
 
-def _middle_product(xs: list[Decimal], ys: list[Decimal], count: int) -> list[Decimal]:
+def _middle_product(xs: list[Decimal], ys: list[Decimal], count: int,
+                    width: int) -> list[Decimal]:
     """Coefficients len(xs) - 1 .. len(xs) - 2 + count of the product of
     the polynomials with coefficients xs and ys (lowest first, all >= 0),
-    by Kronecker substitution.  A coefficient is a sum of at most len(xs)
-    products, so it stays below 10^width with width the digits of the
-    largest x, the largest y and len(xs) together; one digit more is
-    kept spare."""
-    width = (
-        max(x.adjusted() for x in xs)
-        + max(ys).adjusted()
-        + len(str(len(xs)))
-        + 3
-    )
+    by Kronecker substitution in slots of `width` digits, which must hold
+    every coefficient of the product."""
     prod = _pack(xs, width) * _pack(ys, width)
     prod = _split(prod, (len(xs) - 1) * width)[1]
     prod = _split(prod, count * width)[0]
@@ -175,12 +168,17 @@ def _transform_len(words: int) -> int:
     return three if words <= three else 1 << k
 
 
+def _headroom(nx: int, c_digits: int) -> int:
+    """Digits a Kronecker slot holds beyond its piece's: c_digits, those of
+    the largest c(k) it meets, those of nx (it sums nx products), one spare."""
+    return c_digits + len(str(nx)) + 1
+
+
 def _packed_words(nx: int, ny: int, extra: int, width: int) -> int:
     """Words of the two factors _middle_product packs from nx pieces
-    below 10^width and ny values c(k) below 10^extra.  Its slot holds the
-    digits of the largest piece (width), of the largest c(k) and of nx,
-    and 3 more, so extra is those of the largest c(k) and of nx plus 2.
-    The top slot of each factor holds only its own value."""
+    below 10^width and ny values c(k) below 10^extra, in slots of
+    width + extra digits (extra from _headroom).  The top slot of each
+    factor holds only its own value."""
     slot = width + extra
     x_digits = (nx - 1) * slot + width
     y_digits = (ny - 1) * slot + extra
@@ -241,25 +239,24 @@ class _Expansion:
             dp[n] = Decimal(q)
             dacc[n] = None
 
-    def plan(self, l: int, mid: int, r: int) -> list[tuple[int, int]]:
-        """(first digit, first row - l) of each piece that the cross term
-        of rows [l, mid) into [mid, r) cuts the left rows into: a piece
-        takes _piece_width digits of the rows from the first one that
-        has its first digit, and the last piece ends at the top of the
-        widest row."""
+    def plan(self, l: int, mid: int, r: int) -> list[tuple[int, int, int]]:
+        """(first digit, first row - l, slot width) of each piece that the
+        cross term of rows [l, mid) into [mid, r) cuts the left rows
+        into: a piece takes _piece_width digits of the rows from the
+        first one that has its first digit, the last piece ends at the
+        top of the widest row, and its slot holds the piece's digits and
+        _headroom more."""
         tops = list(map(Decimal.adjusted, self.dp[l:mid]))
         widest = max(tops) + 1
-        plan: list[tuple[int, int]] = []
+        plan: list[tuple[int, int, int]] = []
         start = 0
         while start < widest:
             a = next(i for i, top in enumerate(tops) if top >= start)
-            plan.append((start, a))
-            width = widest - start
-            if width > _SLICE:
-                # rows l+a..mid-1 meet c(1..r-1-l-a)
-                nx, ny = mid - l - a, r - l - a - 1
-                extra = max(self.dc[1 : ny + 1]).adjusted() + len(str(nx)) + 2
-                width = _piece_width(nx, ny, extra, width)
+            # rows l+a..mid-1 meet c(1..r-1-l-a)
+            nx, ny = mid - l - a, r - l - a - 1
+            extra = _headroom(nx, max(self.dc[1 : ny + 1]).adjusted() + 1)
+            width = _piece_width(nx, ny, extra, widest - start)
+            plan.append((start, a, width + extra))
             start += width
         return plan
 
@@ -268,7 +265,7 @@ class _Expansion:
         # the pieces are cut off the rows from the top one down, so
         # rest[i] holds what is left of row l+i below the current piece
         rest = self.dp[l:mid]
-        for start, a in reversed(self.plan(l, mid, r)):
+        for start, a, slot in reversed(self.plan(l, mid, r)):
             # the piece of rows l+a..mid-1 (0 for a row too short to
             # have it) meets c(1..r-1-l-a), and row n is coefficient
             # n-l-a-1
@@ -276,7 +273,7 @@ class _Expansion:
             if start:
                 for i in range(a, mid - l):
                     rest[i], xs[i - a] = _split(rest[i], start)
-            shares = _middle_product(xs, self.dc[1 : r - l - a], r - mid)
+            shares = _middle_product(xs, self.dc[1 : r - l - a], r - mid, slot)
             for n, share in enumerate(shares, mid):
                 self.dacc[n] += share.scaleb(start)
 
@@ -289,23 +286,25 @@ def _run_kernel(c: list[int], n_max: int) -> list[int]:
     row n in [mid, r) is added to that row's accumulator, then the right
     half is solved.  A leaf of at most _LEAF rows finishes each row with
     one dot product over the rows of the leaf before it.  A cross term
-    plans where its left rows are cut (_Expansion.plan), cuts each row
-    once and makes one Kronecker product per piece j (_middle_product):
-    piece j of the rows from the first one that has it (a later, shorter
-    row gives 0) and the c(k) they meet are packed into the slots of one
-    Decimal each, libmpdec multiplies the two by number-theoretic
+    plans its pieces (_Expansion.plan), cuts each row once and makes one
+    Kronecker product per piece j (_middle_product): piece j of the rows
+    from the first one that has it (a later, shorter row gives 0) and
+    the c(k) they meet are packed into one Decimal each, in slots of the
+    width the plan gives, libmpdec multiplies the two by number-theoretic
     transform, and each slot of the wanted range of the product is piece
     j's share of one row, added to it times 10^(first digit of piece j).
     A piece is min(_SLICE, digits left in the widest row) wide; when its
     product passes 1024 words, it widens while the product still fits
     the transform length libmpdec pads it to (_piece_width), so it
-    covers more digits at the same cost.  A table whose rows all stay
-    under _SLICE digits makes one product per cross term.  A negative
-    c(k), whose sums could borrow across slots, raises ValueError before
-    any row is solved.  Every row is divided exactly by n, or
-    ArithmeticError rejects the table.  The decimal work runs
-    in a private context with the largest precision and exponent range,
-    so every operation is exact; the caller's context is left as it was.
+    covers more digits at the same cost.  Its slot holds its digits and
+    _headroom more: those of the largest c(k) it meets, of its row
+    count, and one spare.  A table whose rows all stay under _SLICE
+    digits makes one product per cross term.  A negative c(k), whose
+    sums could borrow across slots, raises ValueError before any row is
+    solved.  Every row is divided exactly by n, or ArithmeticError
+    rejects the table.  The decimal work runs in a private context with
+    the largest precision and exponent range, so every operation is
+    exact; the caller's context is left as it was.
     """
     if min(c[1 : n_max + 1], default=0) < 0:
         raise ValueError("negative c(k): the kernel needs c >= 0")

@@ -2,6 +2,7 @@
 capture stays exact; the analytic commands also run in a fresh interpreter,
 where they import the analytic modules themselves."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -331,8 +332,11 @@ def test_bad_format_refused_before_any_work(capsys, monkeypatch, command, fmt):
 
 
 def test_every_subcommand_has_formats():
-    # main looks each subcommand up in _FORMATS and catches no KeyError
-    assert set(cli._FORMATS) == set(cli._DISPATCH)
+    # main looks each subcommand up in _COMMANDS and catches no KeyError,
+    # and a command there that the parser lacks could never run
+    [sub] = [a for a in cli._build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(cli._COMMANDS)
 
 
 def test_analytic_commands_refuse_ell_below_two(capsys):

@@ -193,16 +193,16 @@ LOADED = ("commtuple.oracles", "commtuple.saddle", "commtuple.inequalities", "js
           "mpmath")
 
 
-def _loaded_after(*argvs):
-    """Run the CLI on each argv in turn in one fresh interpreter; after
-    each, which of LOADED are loaded."""
+def _loaded_after(*argvs, rc=0):
+    """Run the CLI on each argv in turn in one fresh interpreter, each
+    ending in exit status rc; after each, which of LOADED are loaded."""
     code = (
         "import contextlib, io, sys\n"
         "from commtuple import cli\n"
         "loaded = []\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv) == 0\n"
+        f"        assert cli.main(argv) == {rc}\n"
         f"    loaded.append([name in sys.modules for name in {LOADED!r}])\n"
         "print(repr(loaded))\n"
     )
@@ -234,6 +234,16 @@ def test_only_the_oracle_subcommand_loads_oracles():
         ["constants", "--ell", "4"],
         ["compare", "--ell", "3", "--points", "100"],
     ) == [[False, False, False, False, True]] * 2
+
+
+def test_refused_analytic_flags_load_no_mpmath():
+    # the --ell and --d refusals come before the first PrecisionContext
+    assert _loaded_after(
+        ["constants", "--ell", "64"],
+        ["constants", "--family", "power", "--d", "5"],
+        ["compare", "--ell", "1", "--points", "10"],
+        rc=1,
+    ) == [[False, False, False, False, False]] * 3
 
 
 # a union type carries no __module__

@@ -301,10 +301,10 @@ def test_phi_closed_form(ctx50):
         got = exp_weight_sum_reference(delta, z, ctx50, "phi")
         assert abs(got - want) < mp.mpf("1e-48")
     # -Phi' > 0
-    assert saddle._exp_weight_sum(delta, mp.mpf("0.5"), ctx50)[0] > 0
-    assert saddle._exp_weight_sum(SubgroupCount(2), mp.mpf("0.5"), ctx50)[0] > 0
+    assert saddle._exp_weight_sum(delta, mp.mpf("0.5"), ctx50, [])[0] > 0
+    assert saddle._exp_weight_sum(SubgroupCount(2), mp.mpf("0.5"), ctx50, [])[0] > 0
     with pytest.raises(ValueError, match="z must be positive"):
-        saddle._exp_weight_sum(delta, mp.mpf(0), ctx50)
+        saddle._exp_weight_sum(delta, mp.mpf(0), ctx50, [])
 
 
 def test_phi_laurent_agreement(ctx50):
@@ -412,7 +412,7 @@ def test_rho_numeric_solves_saddle_equation(spec, n):
     ctx = PrecisionContext(50)
     rho = rho_numeric(spec, n, ctx)
     assert rho > 0
-    residual = saddle._exp_weight_sum(spec, rho, ctx)[0] - n
+    residual = saddle._exp_weight_sum(spec, rho, ctx, [])[0] - n
     assert abs(residual) <= ctx.mp.mpf(10) ** -ctx.digits * n
 
 
@@ -486,7 +486,7 @@ def check_weight_sum(spec, z, ctx):
     """_exp_weight_sum against exp_weight_sum_reference at z."""
     mp = ctx.mp
     z = ctx.real(z)
-    got = saddle._exp_weight_sum(spec, z, ctx)
+    got = saddle._exp_weight_sum(spec, z, ctx, [])
     # 64 more bits leave the reference's own rounding far below the bound
     with mp.workprec(mp.prec + 64):
         want = exp_weight_sum_reference(spec, z, ctx, "newton")
@@ -571,7 +571,7 @@ def test_hopeless_weight_sum_fails_before_any_weight(monkeypatch):
     monkeypatch.setattr(saddle, "_grow_weights", refuse)
     ctx = PrecisionContext(50)
     with pytest.raises(ArithmeticError, match="weight sum failed to converge"):
-        saddle._exp_weight_sum(Power(0), ctx.mp.mpf("1e-6"), ctx)
+        saddle._exp_weight_sum(Power(0), ctx.mp.mpf("1e-6"), ctx, [])
 
 
 @pytest.mark.parametrize("n, want", [

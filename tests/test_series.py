@@ -122,11 +122,12 @@ def test_kernel_matches_oracle_on_wide_rows():
 
 def test_middle_product_at_full_slots():
     # 99 terms of (10^50 - 1)(10^20 - 1) make 72 digits, the digits of a
-    # row, a c and the number of rows together: the largest sum a slot
-    # of that width holds
+    # row, a c and the number of rows together: the largest sum the slot
+    # of a 50-digit piece holds, with its one spare digit
     xs, ys = [10**50 - 1] * 99, [10**20 - 1] * 150
+    slot = 50 + series._headroom(99, 20)
     with localcontext(_exact_context()):
-        got = _middle_product([Decimal(x) for x in xs], [Decimal(y) for y in ys], 52)
+        got = _middle_product([Decimal(x) for x in xs], [Decimal(y) for y in ys], 52, slot)
     full = 99 * xs[0] * ys[0]
     assert len(str(full)) == 72
     assert [int(v) for v in got] == [full] * 52
@@ -247,7 +248,7 @@ def test_integrality_witness_at_planned_piece_boundaries(monkeypatch):
     monkeypatch.setattr(series._Expansion, "cross", record)
     _run_kernel(c, n_max)
     [plan] = plans
-    starts = [start for start, _ in plan]
+    starts = [start for start, _, _ in plan]
     assert starts[0] == 0 and len(starts) > 3
     # past 1024 words the pieces are wider than _SLICE
     assert all(b - a > series._SLICE for a, b in zip(starts, starts[1:]))
@@ -291,7 +292,8 @@ def test_piece_width_fills_the_same_transform():
 
 def test_packed_words_bound_middle_products_factors(monkeypatch):
     # _piece_width's size model against the factors _middle_product
-    # really packs: never fewer words, and at most one more
+    # really packs at the slot plan gives: never fewer words, and at
+    # most one more
     rng = random.Random(22)
     packed = []
     pack = series._pack
@@ -309,9 +311,10 @@ def test_packed_words_bound_middle_products_factors(monkeypatch):
         ys = [rng.randrange(10**c_digits) for _ in range(ny - 1)]
         ys.append(10**c_digits - 1)
         packed.clear()
+        extra = series._headroom(nx, c_digits)
         with localcontext(_exact_context()):
-            _middle_product([Decimal(x) for x in xs], [Decimal(y) for y in ys], 1)
-        extra = (c_digits - 1) + len(str(nx)) + 2
+            _middle_product([Decimal(x) for x in xs], [Decimal(y) for y in ys], 1,
+                            width + extra)
         model = series._packed_words(nx, ny, extra, width)
         assert 0 <= model - sum(packed) <= 1
 
@@ -337,6 +340,32 @@ def test_kernel_matches_oracle_on_planned_pieces(table):
     p = _run_kernel(c, n_max)
     assert max(p).bit_length() > 3.3 * 2 * series._SLICE
     assert p == expand_kernel(c, n_max)
+
+
+@settings(max_examples=10, deadline=None)
+@given(wide_weight_tables())
+def test_plan_covers_rows_with_slots_that_hold_sums(table):
+    # the root cross term's plan, over left rows [0, mid) as the kernel
+    # has solved them
+    n_max, c = table
+    mid = (n_max + 1) // 2
+    rows = series._Expansion(c, n_max)
+    with localcontext(_exact_context()):
+        rows.solve(0, mid)
+        plan = rows.plan(0, mid, n_max + 1)
+    # rows and sums pass CPython's 4300-digit int/str limit
+    digits = [len(series._int_str(v)) for v in rows.p[:mid]]
+    starts = [start for start, _, _ in plan]
+    ends = starts[1:] + [max(digits)]
+    # the pieces cover the digits of the widest row in order, no gap
+    assert starts[0] == 0 and all(s < e for s, e in zip(starts, ends))
+    for (start, a, slot), end in zip(plan, ends):
+        # from the first row that has the piece's first digit
+        assert a == next(i for i, d in enumerate(digits) if d > start)
+        # rows a..mid-1 meet c(1..n_max-a): the slot holds the largest
+        # sum of their products with a digit to spare
+        nx, max_c = mid - a, max(c[1 : n_max + 1 - a])
+        assert slot >= len(series._int_str(nx * (10 ** (end - start) - 1) * max_c)) + 1
 
 
 @pytest.mark.parametrize("ell, n_max, serialise, digest", [
