@@ -87,11 +87,11 @@ def _read_table(path: str) -> TableExponent:
     return TableExponent(tuple(rows[n] for n in range(1, top + 1)))
 
 
-def _family_flag(args: argparse.Namespace, name: str, least: int) -> int:
-    """The value of the family's flag --name, which must be >= least."""
+def _least(args: argparse.Namespace, name: str, least: int) -> int:
+    """The value of the flag held in args.name, which must be >= least."""
     value = getattr(args, name)
     if value < least:
-        raise ValueError(f"--{name} must be >= {least}")
+        raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
     return value
 
 
@@ -104,11 +104,11 @@ def _exponent_spec(args: argparse.Namespace, n_hint: int):
         if family != args.family and given:
             raise ValueError(f"--family {args.family} does not take --{flag}")
     if args.family == "ntuple":
-        return ntuple_exponent(_family_flag(args, "ell", 1), n_hint)
+        return ntuple_exponent(_least(args, "ell", 1), n_hint)
     if args.family == "power":
-        return Power(_family_flag(args, "d", 0))
+        return Power(_least(args, "d", 0))
     if args.family == "polygonal":
-        return PolygonalIndicator(_family_flag(args, "k", 3))
+        return PolygonalIndicator(_least(args, "k", 3))
     return _read_table(args.table)
 
 
@@ -124,8 +124,7 @@ def _analytic_data(args: argparse.Namespace):
     from .lfunction import lf_data_for
     from .precision import PrecisionContext
 
-    if args.digits < 50:
-        raise ValueError("--digits must be >= 50")
+    _least(args, "digits", 50)
     if args.family == "ntuple" and args.ell is not None:
         if args.ell < 2:
             raise ValueError(f"{args.subcommand} requires --ell >= 2")
@@ -161,14 +160,11 @@ def _emit_seq(seq: BigIntSeq, fmt: str) -> str:
 
 
 def _cmd_seq(args: argparse.Namespace) -> str:
-    if args.max_n < 0:
-        raise ValueError("--max-n must be >= 0")
-    return _emit_seq(_family_sequence(args, args.max_n), args.fmt)
+    return _emit_seq(_family_sequence(args, _least(args, "max_n", 0)), args.fmt)
 
 
 def _cmd_gl(args: argparse.Namespace) -> str:
-    if args.max_n < 1:
-        raise ValueError("--max-n must be >= 1")
+    _least(args, "max_n", 1)
     if args.ell < 1:
         raise ValueError("gl requires --ell >= 1")
     table = subgroup_count_table(args.ell, args.max_n)
@@ -281,16 +277,20 @@ def _scan_output(report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scan_sequence(args: argparse.Namespace, least: int) -> BigIntSeq:
+    """The family's sequence to --max-n + 1, for a scan window
+    [--min-n, --max-n] whose --min-n must be >= least."""
+    _least(args, "min_n", least)
+    if args.max_n < args.min_n:
+        raise ValueError("--max-n must be >= --min-n")
+    return _family_sequence(args, args.max_n + 1)
+
+
 def _cmd_logconcave(args: argparse.Namespace) -> str:
     from .inequalities import log_concavity_scan
 
-    if args.min_n < 1:
-        raise ValueError("--min-n must be >= 1")
-    if args.max_n < args.min_n:
-        raise ValueError("--max-n must be >= --min-n")
-    seq = _family_sequence(args, args.max_n + 1)
-    report = log_concavity_scan(seq, args.min_n, args.max_n, jobs=args.jobs)
-    return _scan_output(report, args.fmt)
+    seq = _scan_sequence(args, 1)
+    return _scan_output(log_concavity_scan(seq, args.min_n, args.max_n), args.fmt)
 
 
 def _cmd_logconvex(args: argparse.Namespace) -> str:
@@ -299,11 +299,7 @@ def _cmd_logconvex(args: argparse.Namespace) -> str:
     if args.family != "ntuple":
         raise ValueError("logconvex scans the factorial-scaled tuple counts; "
                          "use --family ntuple")
-    if args.min_n < 2:
-        raise ValueError("--min-n must be >= 2")
-    if args.max_n < args.min_n:
-        raise ValueError("--max-n must be >= --min-n")
-    seq = _family_sequence(args, args.max_n + 1)
+    seq = _scan_sequence(args, 2)
     report = _factorial_log_convexity_scan(seq, args.min_n, args.max_n)
     return _scan_output(report, args.fmt)
 
@@ -311,11 +307,16 @@ def _cmd_logconvex(args: argparse.Namespace) -> str:
 def _cmd_bo(args: argparse.Namespace) -> str:
     from .inequalities import bessenrodt_ono_scan
 
-    if args.max_sum < 2:
-        raise ValueError("--max-sum must be >= 2")
-    seq = _family_sequence(args, args.max_sum)
-    report = bessenrodt_ono_scan(seq, args.max_sum, jobs=args.jobs)
-    return _scan_output(report, args.fmt)
+    seq = _family_sequence(args, _least(args, "max_sum", 2))
+    return _scan_output(bessenrodt_ono_scan(seq, args.max_sum), args.fmt)
+
+
+def _refuse_unread(args: argparse.Namespace, op: str, names) -> None:
+    """Refuse the first flag held in args.name, name in names, that was
+    given: oracle op does not read it."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"oracle {op} does not take --{name.replace('_', '-')}")
 
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
@@ -328,15 +329,12 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
 
     op = args.oracle_op
     counts = op in ("hnf", "commuting")  # one count, else a sequence
-    unread, value = ("--max-n", args.max_n) if counts else ("--n", args.n)
-    if value is not None:
-        raise ValueError(f"oracle {op} does not take {unread}")
+    _refuse_unread(args, op, ("max_n",) if counts else ("n",))
     if op != "direct":  # no family: the counts read --ell, pentagonal nothing
         if args.family != "ntuple":
             raise ValueError(f"oracle {op} does not take --family")
-        for flag in ("d", "k", "table") if counts else ("ell", "d", "k", "table"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"oracle {op} does not take --{flag}")
+        _refuse_unread(args, op,
+                       ("d", "k", "table") if counts else ("ell", "d", "k", "table"))
     if counts:
         if args.ell is None or args.n is None:
             raise ValueError(f"oracle {op} requires --ell and --n")
@@ -351,8 +349,7 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
         return f"{count(args.ell, args.n)}\n"
     if args.max_n is None:
         raise ValueError(f"oracle {op} requires --max-n")
-    if args.max_n < 0:
-        raise ValueError("--max-n must be >= 0")
+    _least(args, "max_n", 0)
     if op == "direct":
         if args.max_n > 500:
             raise ValueError("oracle direct requires --max-n <= 500")
@@ -500,8 +497,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     print(f"commtuple {__version__}", file=sys.stderr)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ValueError("--jobs must be >= 1")
+        if "jobs" in vars(args):  # the scans' --jobs, which they never read
+            _least(args, "jobs", 1)
         handler, formats = _COMMANDS[args.subcommand]
         args.fmt = args.fmt or formats[0]
         if args.fmt not in formats:

@@ -81,8 +81,8 @@ def _check_jobs(jobs: int) -> None:
 
 
 def _check_window(seq: BigIntSeq, lo: int, hi: int) -> None:
-    if lo > hi:
-        raise ValueError("empty scan window")
+    """Refuses a window [lo, hi], lo < hi, that seq does not cover with
+    positive values."""
     if lo < seq.offset or hi > seq.last_index():
         raise ValueError(f"sequence covers [{seq.offset}, {seq.last_index()}], "
                          f"scan needs [{lo}, {hi}]")

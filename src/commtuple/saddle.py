@@ -62,8 +62,6 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext) -> int:
 
     def passes(m):
         uhat = mp.exp(mp.mpf(w) / m) * u
-        if not uhat < 1:
-            return False
         tail = mp.mpf(m + 1) ** w * mp.power(u, m) * u / (1 - uhat) * inv_gap**2
         return tail < target
 
@@ -73,11 +71,11 @@ def _tail_cutoff(spec: ExponentSpec, z, ctx: PrecisionContext) -> int:
 
     def passes_float(m):
         x = w / m - z_f
-        if x >= 0:
-            return False
         log_tail = w * log(m + 1) - z_f * (m + 1) - log(-expm1(x))
         return log_tail + 2 * log_inv_gap < log_target
 
+    # both tests see only m >= check_from > 2w/z, where w/m < z/2, so
+    # uhat < 1 and x < 0
     check_from = max(16, int(2 * w / z_f) + 1)
     lo, hi = check_from - 1, check_from
     est = _first_passing(passes_float, lo, hi)

@@ -316,9 +316,7 @@ def _run_kernel(c: list[int], n_max: int) -> list[int]:
 
 def expand_product(spec: ExponentSpec, n_max: int) -> BigIntSeq:
     """Coefficients p(0..n_max) of prod (1 - q^n)^{-f(n)}."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    f = evaluate_exponent(spec, n_max)
+    f = evaluate_exponent(spec, n_max)  # refuses n_max < 0
     c = weighted_divisor_table(f)
     return BigIntSeq(_run_kernel(c, n_max), 0, spec.label)
 

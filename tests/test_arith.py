@@ -172,6 +172,14 @@ def test_spec_validation():
         PolygonalIndicator(2)
     with pytest.raises(ValueError, match="^table values must be >= 0$"):
         TableExponent((1, -2, 3))
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        evaluate_exponent(Power(1), -1)
+    with pytest.raises(ValueError, match="^ell must be >= 1$"):
+        subgroup_count_table(0, 5)
+    with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+        subgroup_count_table(2, 0)
+    with pytest.raises(ValueError, match="^k must be >= 3$"):
+        is_polygonal(2, 5)
 
 
 # (class, fields, other fields, repr): the specs behave as frozen

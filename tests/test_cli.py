@@ -4,6 +4,7 @@ where they import the analytic modules themselves."""
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -304,6 +305,23 @@ def test_out_failures(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "taken"]
 
 
+def test_out_failed_replace_keeps_old_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+    target = tmp_path / "rows.csv"
+    target.write_text("old\n", encoding="utf-8")
+    monkeypatch.setattr(os, "replace", refuse)
+    rc, out, err = run(capsys, "seq", "--ell", "2", "--max-n", "5",
+                       "--out", str(target))
+    assert (rc, out) == (1, "")
+    # the error names the path given, not the temporary file beside it
+    assert err.splitlines()[1:] == [
+        f"error: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}: {str(target)!r}"]
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
 def test_sequence_commands_refuse_text_format(capsys):
     for cmd in (["seq", "--ell", "2", "--max-n", "5"], ["gl", "--ell", "2", "--max-n", "5"],
                 ["oracle", "direct", "--ell", "2", "--max-n", "5"],
@@ -388,6 +406,21 @@ def test_analytic_commands_refuse_ell_below_two(capsys):
      "oracle commuting does not take --table"),
     ("oracle commuting --ell 2 --n 3 --family polygonal --k 4",
      "oracle commuting does not take --family"),
+    ("logconcave --ell 2 --max-n 3 --min-n 5", "--max-n must be >= --min-n"),
+    ("logconvex --ell 2 --max-n 3 --min-n 5", "--max-n must be >= --min-n"),
+    ("bo --ell 2 --max-sum 1", "--max-sum must be >= 2"),
+    ("gl --ell 2 --max-n 0", "--max-n must be >= 1"),
+    ("gl --ell 0 --max-n 3", "gl requires --ell >= 1"),
+    ("oracle hnf --ell 2", "oracle hnf requires --ell and --n"),
+    ("oracle pentagonal", "oracle pentagonal requires --max-n"),
+    ("constants --ell 2 --terms 0", "--terms must be in 1..1 here"),
+    ("compare --ell 2 --points 0", "--points needs positive integers"),
+    ("compare --ell 2 --points x", "bad --points value 'x'"),
+    # an argv with several errors: the first one in checking order
+    ("seq --family power --ell 4 --max-n 3", "--family power does not take --ell"),
+    ("seq --family polygonal --ell 2 --d 1 --max-n 3",
+     "--family polygonal does not take --ell"),
+    ("oracle hnf --n 2 --max-n 3 --d 1", "oracle hnf does not take --max-n"),
 ], ids=["pentagonal-max-n", "direct-max-n", "constants-digits", "compare-digits",
         "seq-ell", "logconcave-ell", "seq-d", "seq-k", "constants-d", "compare-d",
         "constants-ell64", "compare-ell64",
@@ -395,7 +428,10 @@ def test_analytic_commands_refuse_ell_below_two(capsys):
         "ntuple-d", "power-ell", "polygonal-table", "table-file-k", "direct-k",
         "power-no-d", "pentagonal-n", "direct-n", "hnf-max-n", "commuting-max-n",
         "pentagonal-family", "pentagonal-ell", "hnf-d", "hnf-k", "commuting-table",
-        "commuting-family"])
+        "commuting-family", "logconcave-window", "logconvex-window", "bo-max-sum",
+        "gl-max-n", "gl-ell", "hnf-no-n", "pentagonal-no-max-n", "constants-terms",
+        "compare-points", "compare-points-int", "power-ell-no-d", "polygonal-ell-d",
+        "hnf-max-n-d"])
 def test_refusals_name_the_flag(capsys, command, error):
     rc, out, err = run(capsys, *command.split())
     assert (rc, out) == (1, "")
@@ -465,6 +501,21 @@ def test_table_file_bad_rows(tmp_path, capsys, rows):
     assert rc == 1
     assert out == ""
     assert err.splitlines()[-1].startswith("error: table row ")
+
+
+@pytest.mark.parametrize("rows, error", [
+    ("n,value\n", "no usable rows in {path}"),
+    ("1,1\n3,2\n", "table rows must cover n = 1..N without gaps"),
+    ("2,5\n2,5\n", "table row '2,5': duplicate n = 2"),
+    ("0,1\n", "table row '0,1': n must be >= 1"),
+], ids=["header-only", "gap", "duplicate", "n-zero"])
+def test_table_file_refusals(tmp_path, capsys, rows, error):
+    path = tmp_path / "weights.csv"
+    path.write_text(rows, encoding="utf-8")
+    rc, out, err = run(capsys, "seq", "--family", "table-file", "--table",
+                       str(path), "--max-n", "3")
+    assert (rc, out) == (1, "")
+    assert err.splitlines()[1:] == [f"error: {error.format(path=path)}"]
 
 
 def test_seq_max_n_zero(capsys):

@@ -128,8 +128,10 @@ def test_scan_guards(p_10k):
         log_concavity_scan(seq, 0, 10)
     with pytest.raises(ValueError):
         log_convexity_scan(seq, 1, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty scan window$"):
         log_concavity_scan(seq, 5, 4)
+    with pytest.raises(ValueError, match="^empty scan window$"):
+        log_concavity_scan(seq, 5, 3)
     with pytest.raises(ValueError):
         log_concavity_scan(seq, 2, 20)  # guard value at 21 missing
     with pytest.raises(ValueError):

@@ -54,6 +54,9 @@ def test_expand_product_known_prefixes():
     assert list(expand_product(Power(0), 4).values) == [1, 1, 2, 3, 5]
     assert list(expand_product(SubgroupCount(2), 4).values) == [1, 1, 4, 8, 21]
     assert list(expand_product(Power(1), 4).values) == [1, 1, 3, 6, 13]
+    # a negative length is refused by the weight table it starts from
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        expand_product(Power(1), -1)
 
 
 def test_expand_product_direct_examples():
